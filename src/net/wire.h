@@ -62,7 +62,7 @@ class Writer {
     put_u64(n);
     const std::size_t offset = buf_.size();
     buf_.resize(offset + n * sizeof(float));
-    std::memcpy(buf_.data() + offset, data, n * sizeof(float));
+    if (n > 0) std::memcpy(buf_.data() + offset, data, n * sizeof(float));
   }
 
   void put_i32_array(const std::int32_t* data, std::size_t n) {
@@ -70,7 +70,9 @@ class Writer {
     put_u64(n);
     const std::size_t offset = buf_.size();
     buf_.resize(offset + n * sizeof(std::int32_t));
-    std::memcpy(buf_.data() + offset, data, n * sizeof(std::int32_t));
+    if (n > 0) {
+      std::memcpy(buf_.data() + offset, data, n * sizeof(std::int32_t));
+    }
   }
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
@@ -140,7 +142,7 @@ class Reader {
     const std::uint64_t n = get_u64();
     need(n * sizeof(float));
     std::vector<float> v(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(float));
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
     return v;
   }
@@ -149,7 +151,9 @@ class Reader {
     const std::uint64_t n = get_u64();
     need(n * sizeof(std::int32_t));
     std::vector<std::int32_t> v(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(std::int32_t));
+    if (n > 0) {
+      std::memcpy(v.data(), data_ + pos_, n * sizeof(std::int32_t));
+    }
     pos_ += n * sizeof(std::int32_t);
     return v;
   }

@@ -6,7 +6,7 @@
 //   for jc : NC-wide column panels of C
 //     for pc : KC-deep contraction panels
 //       pack B[pc:pc+KC, jc:jc+NC] into contiguous NR-wide strips
-//       parallel_for over output rows              <- the ONLY fork point
+//       parallel_for over MR-row strips of C        <- the ONLY fork point
 //         for ic : MC-tall row blocks of this thread's range
 //           pack A[ic:ic+MC, pc:pc+KC] into MR-wide strips (thread scratch)
 //           for each (MR x NR) tile: micro-kernel
@@ -27,6 +27,10 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "util/aligned.h"
 #include "util/thread_pool.h"
 
@@ -35,11 +39,12 @@ namespace {
 
 // ----- architecture selection -----
 //
-// GNU vector extensions, not intrinsics: the same source compiles to SSE2,
-// AVX2+FMA or AVX-512 depending on -march (see MENOS_NATIVE_ARCH in the
-// top-level CMakeLists). Lane arithmetic is element-wise identical to the
-// scalar form, so the choice affects speed only within one build; the
-// determinism contract is per build, same as any -ffp-contract effect.
+// GNU vector extensions, plus one FMA intrinsic in vmadd(): the same source
+// compiles to SSE2, AVX2+FMA or AVX-512 depending on -march (see
+// MENOS_NATIVE_ARCH in the top-level CMakeLists). Lane arithmetic is
+// element-wise identical to the scalar form, so the choice affects speed
+// only within one build; the determinism contract is per build, same as
+// any -ffp-contract effect.
 
 #if defined(__AVX512F__)
 constexpr int kVecLanes = 16;
@@ -73,18 +78,17 @@ Index resolved(Index value, Index fallback) {
   return value > 0 ? value : fallback;
 }
 
-// The scalar reduction loops (edge tiles, serial references) must make the
-// SAME per-element rounding decisions as the vector micro-kernel, and a
+// The scalar reduction loops (the serial references) must make the SAME
+// per-element rounding decisions as the vector micro-kernel, and a
 // plain `acc += a[p]*b[p]` does not guarantee that: the compiler may
 // contract it to an fma, leave it as mul+add, or — worst — partially
 // vectorize it into a vmulps + sequential vaddss mix that keeps the
 // summation order but rounds some products separately. madd() pins the
-// choice explicitly: fused when the target ISA has FMA (what the
-// vectorizer emits for the micro-kernel under -ffp-contract=fast), plain
-// mul+add otherwise (SSE2 has no fma instruction, so the vector code
-// rounds products separately too). One contraction decision per build,
-// every path. The functions are additionally kept scalar so the
-// vectorizer cannot re-mix them.
+// choice explicitly: fused when the target ISA has FMA (what vmadd() emits
+// for the micro-kernel), plain mul+add otherwise (SSE2 has no fma
+// instruction, so the vector code rounds products separately too). One
+// contraction decision per build, every path. The reference kernels are
+// additionally kept scalar so the vectorizer cannot re-mix them.
 inline float madd(float acc, float a, float b) {
 #if defined(__FMA__)
   return __builtin_fmaf(a, b, acc);
@@ -93,19 +97,22 @@ inline float madd(float acc, float a, float b) {
 #endif
 }
 
-// Vector-lane counterpart of madd() with the SAME pinning rationale. The
-// micro-kernel's update used to be written `acc += a * b`, leaving the
-// fuse-or-not decision to -ffp-contract: GCC contracts that into vfmaddps
-// only at -O2, not at -O0/-O1, so Debug builds rounded products separately
-// while madd() stayed fused and the bit-identity suite diverged (the
-// CHANGES.md PR 7 "Debug 30/31" failure). Spelling the fuse out per lane
-// makes every optimisation level agree; GCC -O2 re-vectorizes this loop
-// into the same packed vfmadd231ps the contracted form produced, so the
-// Release kernels are unchanged.
+// Vector counterpart of madd(), with the same fuse-or-not decision per
+// build. The update is spelled as the explicit FMA intrinsic of the
+// register width kVecLanes picked above, not as `acc += a * b`: GCC
+// contracts that expression into vfmadd only at -O2 (-ffp-contract=fast),
+// so Debug builds would round products separately while madd() stays
+// fused. The intrinsic emits the same packed vfmadd231ps at every
+// optimisation level, so Debug and Release agree bit for bit with each
+// other and with the *_ref kernels. (A per-lane __builtin_fmaf loop agrees
+// too, but GCC 12 does not re-vectorize it: it runs lane by lane.)
 inline Vec vmadd(Vec acc, float a, Vec b) {
-#if defined(__FMA__)
-  for (int l = 0; l < kVecLanes; ++l) acc[l] = __builtin_fmaf(a, b[l], acc[l]);
-  return acc;
+#if defined(__FMA__) && defined(__AVX512F__)
+  return (Vec)_mm512_fmadd_ps(_mm512_set1_ps(a), (__m512)b, (__m512)acc);
+#elif defined(__FMA__) && defined(__AVX__)
+  return (Vec)_mm256_fmadd_ps(_mm256_set1_ps(a), (__m256)b, (__m256)acc);
+#elif defined(__FMA__)
+  return (Vec)_mm_fmadd_ps(_mm_set1_ps(a), (__m128)b, (__m128)acc);
 #else
   return acc + a * b;  // no fma instruction on this target; never contracted
 #endif
@@ -209,19 +216,20 @@ void micro(const float* __restrict__ ap, const float* __restrict__ bp,
   }
 }
 
-/// Partial tile at the m/n edges: scalar, same per-element order.
-MENOS_SCALAR_ONLY
-void micro_edge(const float* __restrict__ ap, const float* __restrict__ bp,
-                float* __restrict__ c, Index ldc, Index kc, Index mr,
-                Index nr) {
+/// Partial mr x nr tile at the m/n edges: the same vector micro-kernel on a
+/// zero-padded copy of the C block. The packed panels are zero-padded too,
+/// so every real element sees the same vmadd sequence as a full tile; the
+/// padded lanes are computed and discarded.
+void micro_partial(const float* __restrict__ ap,
+                   const float* __restrict__ bp, float* __restrict__ c,
+                   Index ldc, Index kc, Index mr, Index nr) {
+  alignas(64) float tile[kMR * kNR] = {};
   for (Index i = 0; i < mr; ++i) {
-    for (Index j = 0; j < nr; ++j) {
-      float acc = c[i * ldc + j];
-      for (Index p = 0; p < kc; ++p) {
-        acc = madd(acc, ap[p * kMR + i], bp[p * kNR + j]);
-      }
-      c[i * ldc + j] = acc;
-    }
+    std::memcpy(tile + i * kNR, c + i * ldc, sizeof(float) * nr);
+  }
+  micro(ap, bp, tile, kNR, kc);
+  for (Index i = 0; i < mr; ++i) {
+    std::memcpy(c + i * ldc, tile + i * kNR, sizeof(float) * nr);
   }
 }
 
@@ -249,29 +257,35 @@ void panel_rows(const float* a, Index lda, bool at, const float* bpack,
         if (mr == kMR && nr == kNR) {
           micro(ap, bp, cp, ldc, kc);
         } else {
-          micro_edge(ap, bp, cp, ldc, kc, mr, nr);
+          micro_partial(ap, bp, cp, ldc, kc, mr, nr);
         }
       }
     }
   }
 }
 
-/// Minimum rows per parallel chunk: at least one full register tile, and
-/// enough flops (~2^18) to be worth shipping to another thread.
-Index row_grain(Index k, Index n) {
-  const Index flops_per_row = 2 * std::max<Index>(k, 1) * std::max<Index>(n, 1);
-  const Index rows = (Index{1} << 18) / flops_per_row;
-  return std::max<Index>(kMR, rows);
+/// Number of MR-row strips covering `rows` output rows. The parallel
+/// kernels split work in whole strips, so every chunk boundary is a tile
+/// boundary and only the last strip of a matrix can be a partial tile.
+Index strips_of(Index rows) { return (rows + kMR - 1) / kMR; }
+
+/// Minimum strips per parallel chunk: enough flops (~2^18) to be worth
+/// shipping to another thread.
+Index strip_grain(Index k, Index n) {
+  const Index flops_per_strip =
+      2 * kMR * std::max<Index>(k, 1) * std::max<Index>(n, 1);
+  return std::max<Index>(1, (Index{1} << 18) / flops_per_strip);
 }
 
-/// One C = A * B product, parallel over output rows. `at`/`bt` select the
+/// One C = A * B product, parallel over MR-row strips of the output.
+/// `at`/`bt` select the
 /// transposed addressing of pack_a/pack_b; M/K/N are the logical
 /// (output rows, contraction, output cols).
 void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
           bool bt, float* c, Index M, Index K, Index N) {
   if (M <= 0 || K <= 0 || N <= 0) return;
   const BlockConfig blk = block_config();
-  const Index grain = row_grain(K, N);
+  const Index grain = strip_grain(K, N);
   for (Index jc = 0; jc < N; jc += blk.nc) {
     const Index nc = std::min(blk.nc, N - jc);
     const Index bstrips = (nc + kNR - 1) / kNR;
@@ -282,8 +296,9 @@ void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
       pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
              bpack);
       const float* abase = at ? a + pc * lda : a + pc;
-      util::parallel_for(0, M, grain, [&](Index lo, Index hi) {
-        panel_rows(abase, lda, at, bpack, c + jc, N, lo, hi, kc, nc, blk.mc);
+      util::parallel_for(0, strips_of(M), grain, [&](Index s0, Index s1) {
+        panel_rows(abase, lda, at, bpack, c + jc, N, s0 * kMR,
+                   std::min(M, s1 * kMR), kc, nc, blk.mc);
       });
     }
   }
@@ -312,20 +327,22 @@ void gemm_rows_selfpack(const float* a, Index lda, bool at, const float* b,
   }
 }
 
-/// Fan a batch of independent products out over one flattened row space.
-/// `fn(bi, i0, i1)` computes output rows [i0, i1) of batch item bi.
+/// Fan a batch of independent products out over one flattened space of
+/// MR-row strips. `fn(bi, i0, i1)` computes output rows [i0, i1) of batch
+/// item bi.
 template <typename Fn>
 void batched_fan_out(Index batch, Index rows, Index k, Index n,
                      const Fn& fn) {
-  util::parallel_for(0, batch * rows, row_grain(k, n),
-                     [&](Index r0, Index r1) {
-    Index r = r0;
-    while (r < r1) {
-      const Index bi = r / rows;
-      const Index i0 = r - bi * rows;
-      const Index i1 = std::min(rows, i0 + (r1 - r));
-      fn(bi, i0, i1);
-      r += i1 - i0;
+  const Index strips = strips_of(rows);  // per batch item
+  util::parallel_for(0, batch * strips, strip_grain(k, n),
+                     [&](Index s0, Index s1) {
+    Index s = s0;
+    while (s < s1) {
+      const Index bi = s / strips;
+      const Index first = s - bi * strips;
+      const Index last = std::min(strips, first + (s1 - s));
+      fn(bi, first * kMR, std::min(rows, last * kMR));
+      s += last - first;
     }
   });
 }

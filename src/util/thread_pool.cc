@@ -64,19 +64,22 @@ struct ThreadPool::Region {
 };
 
 struct ThreadPool::State {
-  // Rank band 44..48 (docs/ANALYSIS.md): below the gpusim/mem allocator
-  // locks because parallel_for bodies run with submit_mutex held and may
-  // allocate; above mem.offload, whose move callbacks dispatch copies.
+  // Rank band 46..48 (docs/ANALYSIS.md): below the gpusim/mem allocator
+  // locks; above mem.offload, whose move callbacks dispatch copies.
   Mutex mutex{"util.threadpool.state", 46};
   CondVar work_cv;      // workers wait here for a new epoch
   CondVar done_cv;      // submitter waits here for completion
-  // Serializes whole dispatches (one region in flight at a time); it has
-  // no guarded members of its own.
-  Mutex submit_mutex{"util.threadpool.submit", 44};  // NOLINT(mutex-annotation)
   std::shared_ptr<Region> region MENOS_GUARDED_BY(mutex);
   std::uint64_t epoch MENOS_GUARDED_BY(mutex) = 0;
   bool stop MENOS_GUARDED_BY(mutex) = false;
   bool started MENOS_GUARDED_BY(mutex) = false;
+
+  // Threads currently inside a top-level parallel_for body, serial or
+  // forked. A call forks only when it finds this at zero: with several
+  // callers already computing, the cores are taken, and workers would only
+  // time-slice against them. It also serializes dispatches, since only a
+  // caller that found zero publishes a region.
+  std::atomic<int> callers{0};
 
   // Background task lane (submit): independent of the fork/join fields so
   // a long-running task never interferes with parallel_for dispatch.
@@ -223,65 +226,62 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
   const Index range = end - begin;
   grain = std::max<Index>(grain, 1);
 
-  // Serial fast paths: tiny range, width-1 pool, nested call, or another
-  // thread already mid-dispatch (run our own range instead of queueing).
-  if (range <= grain || num_threads_ <= 1 || t_inside_region) {
+  // Serial fast paths: width-1 pool, nested call, tiny range, or another
+  // thread already inside a parallel_for body (run our own range instead
+  // of oversubscribing the cores). Being alone also makes this the only
+  // dispatching thread: one region is in flight at a time.
+  if (num_threads_ <= 1 || t_inside_region) {
     body(begin, end);
     return;
   }
-  if (!state_->submit_mutex.try_lock()) {
+  struct CallerScope {
+    std::atomic<int>& callers;
+    const bool alone = callers.fetch_add(1, std::memory_order_acq_rel) == 0;
+    ~CallerScope() { callers.fetch_sub(1, std::memory_order_acq_rel); }
+  } caller{state_->callers};
+  const Index target_chunks =
+      static_cast<Index>(num_threads_) * kChunksPerThread;
+  const Index chunk =
+      std::max(grain, (range + target_chunks - 1) / target_chunks);
+  const Index nchunks = (range + chunk - 1) / chunk;
+  if (range <= grain || !caller.alone || nchunks <= 1) {
     body(begin, end);
     return;
   }
 
-  std::shared_ptr<Region> region;
+  auto region = std::make_shared<Region>();
+  region->begin = begin;
+  region->end = end;
+  region->chunk = chunk;
+  region->nchunks = nchunks;
+  region->body = &body;
+
   {
-    MutexLock submit(state_->submit_mutex, MutexLock::Adopt{});
-
-    const Index target_chunks =
-        static_cast<Index>(num_threads_) * kChunksPerThread;
-    const Index chunk =
-        std::max(grain, (range + target_chunks - 1) / target_chunks);
-    const Index nchunks = (range + chunk - 1) / chunk;
-    if (nchunks <= 1) {
-      body(begin, end);
-      return;
-    }
-
-    region = std::make_shared<Region>();
-    region->begin = begin;
-    region->end = end;
-    region->chunk = chunk;
-    region->nchunks = nchunks;
-    region->body = &body;
-
-    {
-      MutexLock lock(state_->mutex);
-      if (!state_->started) {
-        // Lazy start: spawn the workers on the first dispatch that wants
-        // them (width-1 pools and purely-serial programs never get here).
-        state_->stop = false;
-        state_->started = true;
-        workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-        for (int i = 0; i < num_threads_ - 1; ++i) {
-          workers_.emplace_back([this] { worker_main(); });
-        }
+    MutexLock lock(state_->mutex);
+    if (!state_->started) {
+      // Lazy start: spawn the workers on the first dispatch that wants
+      // them (width-1 pools and purely-serial programs never get here).
+      state_->stop = false;
+      state_->started = true;
+      workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
+      for (int i = 0; i < num_threads_ - 1; ++i) {
+        workers_.emplace_back([this] { worker_main(); });
       }
-      state_->region = region;
-      ++state_->epoch;
     }
-    state_->work_cv.notify_all();
+    state_->region = region;
+    ++state_->epoch;
+  }
+  state_->work_cv.notify_all();
 
-    run_chunks(*region);  // the submitting thread pulls chunks too
+  run_chunks(*region);  // the submitting thread pulls chunks too
 
-    {
-      MutexLock lock(state_->mutex);
-      while (region->completed.load(std::memory_order_acquire) !=
-             region->nchunks) {
-        state_->done_cv.wait(state_->mutex);
-      }
-      state_->region.reset();
+  {
+    MutexLock lock(state_->mutex);
+    while (region->completed.load(std::memory_order_acquire) !=
+           region->nchunks) {
+      state_->done_cv.wait(state_->mutex);
     }
+    state_->region.reset();
   }
 
   std::exception_ptr first_error;

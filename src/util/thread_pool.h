@@ -8,10 +8,12 @@
 //      serial fallback. Nothing about chunk assignment leaks into results.
 //   2. No surprises for the split runtime. Server/client session threads
 //      already exist (see util/queue.h); the pool is a singleton sized by
-//      MENOS_THREADS (default: hardware concurrency) and a second thread
-//      arriving while a region is in flight simply runs its range serially
-//      instead of queueing behind the first — compute never deadlocks on
-//      compute.
+//      MENOS_THREADS (default: hardware concurrency), and a call forks only
+//      when its thread is alone: if any other thread is inside a
+//      parallel_for body, serial or forked, the call runs its range
+//      inline. Concurrent sessions then compute side by side, one core
+//      each, instead of queueing behind one region or oversubscribing the
+//      cores with pool workers — and compute never deadlocks on compute.
 //   3. Lazy start. No worker threads exist until the first parallel_for
 //      that actually wants them; MENOS_THREADS=1 never spawns any.
 //
@@ -52,9 +54,10 @@ class ThreadPool {
   /// Invoke `body` over disjoint subranges covering [begin, end) exactly
   /// once. `grain` is the minimum chunk size (in indices) worth shipping to
   /// another thread; ranges at or below it, a pool of width 1, nested calls
-  /// and contended submissions all run `body(begin, end)` on the calling
-  /// thread. The first exception thrown by any chunk is rethrown on the
-  /// calling thread after all chunks finish.
+  /// and calls made while another thread is inside a parallel_for body all
+  /// run `body(begin, end)` on the calling thread. The first exception
+  /// thrown by any chunk is rethrown on the calling thread after all chunks
+  /// finish.
   void parallel_for(Index begin, Index end, Index grain, const Body& body);
 
   /// Run `task` asynchronously on the pool's background task lane: one

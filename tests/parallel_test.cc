@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -117,8 +120,7 @@ TEST(ThreadPool, RepeatedResizeStartsAndStopsCleanly) {
 
 // ----- determinism across thread counts -----
 
-std::vector<float> run_matmul_kernels(int width) {
-  ThreadPool::instance().set_num_threads(width);
+std::vector<float> matmul_kernel_outputs() {
   util::Rng rng(1234);
   const Index m = 37, k = 53, n = 41;
   std::vector<float> a(static_cast<std::size_t>(m * k));
@@ -142,6 +144,11 @@ std::vector<float> run_matmul_kernels(int width) {
   tensor::kernels::mm_tn(a.data(), b.data(), c_tn.data(), m, k, n);
   out.insert(out.end(), c_tn.begin(), c_tn.end());
   return out;
+}
+
+std::vector<float> run_matmul_kernels(int width) {
+  ThreadPool::instance().set_num_threads(width);
+  return matmul_kernel_outputs();
 }
 
 /// One tiny training step exercising matmul, layer_norm and cross_entropy
@@ -195,6 +202,38 @@ TEST(ParallelDeterminism, TrainStepBitIdenticalAcrossWidths) {
   const std::vector<float> serial = run_train_step(1);
   expect_bit_identical(serial, run_train_step(2), "train step @2 threads");
   expect_bit_identical(serial, run_train_step(8), "train step @8 threads");
+}
+
+TEST(ThreadPool, RunsInlineWhileAnotherThreadIsInASerialBody) {
+  PoolWidthGuard guard;
+  const std::vector<float> serial = run_matmul_kernels(1);
+  ThreadPool::instance().set_num_threads(4);
+
+  // Thread A parks inside a parallel_for body that runs serially (its
+  // range is below the grain), so no region is in flight.
+  std::latch entered(1), release(1);
+  std::thread a([&] {
+    util::parallel_for(0, 1, 1, [&](Index, Index) {
+      entered.count_down();
+      release.wait();
+    });
+  });
+  entered.wait();
+
+  // A large range from this thread must not fork while A computes. Each
+  // chunk sleeps so that, were it forked, idle workers would claim some.
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<int> foreign_chunks{0};
+  util::parallel_for(0, 100'000, 1, [&](Index, Index) {
+    if (std::this_thread::get_id() != self) foreign_chunks++;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  const std::vector<float> contended = matmul_kernel_outputs();
+  release.count_down();
+  a.join();
+
+  EXPECT_EQ(foreign_chunks.load(), 0);
+  expect_bit_identical(serial, contended, "kernels @4 threads, contended");
 }
 
 }  // namespace
