@@ -10,6 +10,7 @@ namespace {
 using menos::sched::ClientDemands;
 using menos::sched::Grant;
 using menos::sched::OpKind;
+using menos::sched::Policy;
 using menos::sched::Scheduler;
 
 /// One request->grant->complete decision cycle with a populated client set.
@@ -33,18 +34,28 @@ void BM_ScheduleDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleDecision)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
-/// Decision latency with a deep waiting list (the backfilling scan).
+/// Decision latency with a deep waiting list (the backfilling scan), once
+/// per scan flavour: plain FCFS order, the straggler-aware reordered scan
+/// (every fourth waiter is a classified straggler), and coalescing (every
+/// waiter shares one batch key, so the pass issues group grants).
+constexpr Policy kWaitingListPolicies[] = {
+    Policy::FcfsBackfill, Policy::StragglerAware, Policy::CoalescedBatch};
+
 void BM_ScheduleWithWaitingList(benchmark::State& state) {
   const int waiters = static_cast<int>(state.range(0));
+  const Policy policy = kWaitingListPolicies[state.range(1)];
   for (auto _ : state) {
     state.PauseTiming();
-    Scheduler s(1u << 20);
+    Scheduler s(1u << 20, policy);
     int granted = 0;
     s.set_grant_callback([&](const Grant&) { ++granted; });
     // Client 0 consumes everything; the rest queue behind it.
     s.register_client(0, ClientDemands{1u << 20, 1u << 20});
+    s.record_service_time(0, 0.1);
     for (int i = 1; i <= waiters; ++i) {
-      s.register_client(i, ClientDemands{1 << 8, 1 << 10});
+      s.register_client(i, ClientDemands{1 << 8, 1 << 10},
+                        policy == Policy::CoalescedBatch ? 7u : 0u);
+      s.record_service_time(i, i % 4 == 0 ? 10.0 : 0.1);
     }
     s.on_request(0, OpKind::Backward);
     for (int i = 1; i <= waiters; ++i) s.on_request(i, OpKind::Backward);
@@ -53,8 +64,12 @@ void BM_ScheduleWithWaitingList(benchmark::State& state) {
     s.on_complete(0);
     benchmark::DoNotOptimize(granted);
   }
+  state.SetLabel(policy == Policy::FcfsBackfill     ? "FcfsBackfill"
+                 : policy == Policy::StragglerAware ? "StragglerAware"
+                                                    : "CoalescedBatch");
 }
-BENCHMARK(BM_ScheduleWithWaitingList)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ScheduleWithWaitingList)
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}});
 
 }  // namespace
 

@@ -299,22 +299,20 @@ bool ServingSession::handle_link_down() {
   return false;
 }
 
+std::optional<sched::OpKind> ServingSession::awaited_kind() const {
+  if (state_ == State::AwaitForwardGrant) return sched::OpKind::Forward;
+  if (state_ == State::AwaitBackwardGrant) return sched::OpKind::Backward;
+  return std::nullopt;
+}
+
 void ServingSession::grant_event() {
-  if (state_ == State::AwaitForwardGrant) {
-    holding_allocation_ = true;
-    state_ = State::Forward;
-    net::Message msg = std::move(pending_msg_);
-    pending_msg_ = net::Message();
-    finish_forward(msg, wait_sw_.elapsed_seconds());
-  } else if (state_ == State::AwaitBackwardGrant) {
-    holding_allocation_ = true;
-    state_ = State::Backward;
-    net::Message msg = std::move(pending_msg_);
-    pending_msg_ = net::Message();
-    finish_backward(msg, wait_sw_.elapsed_seconds());
-  }
-  // Any other state: a stale grant that raced a stop/expiry; cleanup's
-  // allocated_to() check reclaims the allocation.
+  // Any state but a grant wait: a stale grant that raced a stop/expiry;
+  // cleanup's allocated_to() check reclaims the allocation.
+  const std::optional<sched::OpKind> kind = awaited_kind();
+  if (!kind.has_value()) return;
+  holding_allocation_ = true;
+  run_op(*kind, std::exchange(pending_msg_, net::Message()),
+         wait_sw_.elapsed_seconds());
 }
 
 // ----- fused-batch path (core/batch.h) ----------------------------------
@@ -343,19 +341,16 @@ void ServingSession::batch_join(const std::shared_ptr<BatchGroup>& group,
 }
 
 void ServingSession::batch_join_event(BatchGroup& group, std::size_t slot) {
-  if (state_ == State::Finished) return;
+  // Join only from the matching grant-wait state; anything else (Finished
+  // included) is a stale group grant that raced a stop/expiry — contribute
+  // nothing, the coordinator's group release reclaims the member's charge.
+  if (awaited_kind() != group.grant.kind) return;
   BatchContribution& c = group.contributions[slot];
   const bool forward = group.grant.kind == sched::OpKind::Forward;
-  // Join only from the matching grant-wait state; anything else is a stale
-  // group grant that raced a stop/expiry — contribute nothing, the
-  // coordinator's group release reclaims the member's charge.
-  if (forward && state_ != State::AwaitForwardGrant) return;
-  if (!forward && state_ != State::AwaitBackwardGrant) return;
 
   holding_allocation_ = true;
   state_ = forward ? State::Forward : State::Backward;
-  net::Message msg = std::move(pending_msg_);
-  pending_msg_ = net::Message();
+  net::Message msg = std::exchange(pending_msg_, net::Message());
   c.batch_key = batch_key_;
   c.config = client_config_;
   c.iteration = msg.iteration;
@@ -386,8 +381,7 @@ void ServingSession::batch_complete(BatchOutcome outcome) {
 
 void ServingSession::batch_complete_event(BatchOutcome& outcome) {
   const bool forward = outcome.kind == sched::OpKind::Forward;
-  if (forward && state_ != State::Forward) return;
-  if (!forward && state_ != State::Backward) return;
+  if (state_ != (forward ? State::Forward : State::Backward)) return;
   // The coordinator released the whole group's scheduler charge in one
   // on_complete_group call — drop the local claim without a round trip.
   holding_allocation_ = false;
@@ -395,42 +389,16 @@ void ServingSession::batch_complete_event(BatchOutcome& outcome) {
   if (!outcome.ok) {
     throw StateError("fused batch failed: " + outcome.error);
   }
-  {
-    util::MutexLock lock(stats_mutex_);
-    stats_.schedule_wait_s.add(outcome.wait_seconds);
-    stats_.compute_s.add(outcome.compute_seconds);
-    if (!forward) {
-      ++stats_.iterations;
-      ++stats_.reforwards;  // the fused Backward re-forwards the trunk
-    }
-  }
-  if (config_.trace != nullptr) {
-    config_.trace->record(
-        util::TraceCategory::Scheduler,
-        forward ? "forward.wait" : "backward.wait", id_,
-        static_cast<std::uint64_t>(outcome.wait_seconds * 1e6));
-    config_.trace->record(
-        util::TraceCategory::Session,
-        forward ? "forward.compute" : "backward.compute", id_,
-        static_cast<std::uint64_t>(outcome.compute_seconds * 1e6));
-  }
-  net::Message reply =
-      forward ? net::Message::forward_result(std::move(outcome.result),
-                                             outcome.iteration)
-              : net::Message::backward_result(std::move(outcome.result),
-                                              outcome.iteration);
-  reply.compute_seconds = outcome.compute_seconds;
-  reply.schedule_wait_seconds = outcome.wait_seconds;
   if (!forward) {
-    // No optimizer step: a coalescible session's server section is fully
-    // frozen (checked at handshake), so the solo path's step/zero_grad
-    // would have been a no-op anyway.
-    backwards_applied_.store(outcome.iteration + 1);
-    if (lease_enabled()) last_backward_reply_ = reply;
+    // The fused Backward re-forwards the trunk. There is no optimizer
+    // step: a coalescible session's server section is fully frozen
+    // (checked at handshake), so the solo path's step/zero_grad would have
+    // been a no-op anyway.
+    util::MutexLock lock(stats_mutex_);
+    ++stats_.reforwards;
   }
-  send_reply(reply);
-  state_ = State::AwaitRequest;
-  pump();  // drain frames that buffered while the fused pass ran
+  reply_result(outcome.kind, std::move(outcome.result), outcome.iteration,
+               outcome.wait_seconds, outcome.compute_seconds);
 }
 
 void ServingSession::resume_event() {
@@ -519,42 +487,8 @@ void ServingSession::handshake(const net::Message& hello) {
   frozen_ = hello_profile.frozen_client_half;
   codec_ = hello_profile.codec;
 
-  // Adapter RNG derivation shared with nn::LocalModel: stream #1 is the
-  // client's input section, #2 ours, #3 the client's output section.
-  util::Rng root(client_config_.adapter_seed);
-  (void)root.fork();
-  util::Rng server_rng = root.fork();
-
+  build_section();
   const bool vanilla = config_.mode == ServingMode::VanillaTaskSwap;
-  if (vanilla) {
-    // Vanilla duplicates the base parameters per client. Build on the host
-    // and swap in for profiling so an occupied GPU cannot OOM mid-build.
-    // (Vanilla is single-GPU: it swaps whole tasks through gpu(0).)
-    nn::FreshInit init(config_.base_seed);
-    section_ = std::make_unique<nn::ServerSection>(
-        client_config_.model, client_config_.split, client_config_.adapter,
-        init, *host_, server_rng);
-    gpu_ = &devices_->gpu(0);
-    on_gpu_.store(false);
-  } else {
-    // The structure follows the store's block-to-GPU layer assignment, so
-    // a multi-GPU server splits every client's section the same way.
-    nn::SharedSource source = store_->source();
-    const std::function<gpusim::Device&(int)> device_for =
-        [this](int block) -> gpusim::Device& {
-      return store_->device_for_block(block);
-    };
-    section_ = std::make_unique<nn::ServerSection>(
-        client_config_.model, client_config_.split, client_config_.adapter,
-        source, device_for, server_rng);
-    gpu_ = &section_->entry_device();
-    on_gpu_.store(true);
-  }
-
-  optimizer_ = optim::make_optimizer(client_config_.optimizer,
-                                     section_->trainable_parameters(),
-                                     client_config_.lr);
-
   if (vanilla) {
     task_bytes_.store(section_->parameter_bytes() +
                       optimizer_->state_bytes());
@@ -591,6 +525,43 @@ void ServingSession::handshake(const net::Message& hello) {
                                      demands_.backward_bytes, token_,
                                      config_.lease_seconds));
   state_ = State::AwaitRequest;
+}
+
+void ServingSession::build_section() {
+  // Adapter RNG derivation shared with nn::LocalModel: stream #1 is the
+  // client's input section, #2 ours, #3 the client's output section.
+  util::Rng root(client_config_.adapter_seed);
+  (void)root.fork();
+  util::Rng server_rng = root.fork();
+
+  if (config_.mode == ServingMode::VanillaTaskSwap) {
+    // Vanilla duplicates the base parameters per client. Build on the host
+    // and swap in for profiling so an occupied GPU cannot OOM mid-build.
+    // (Vanilla is single-GPU: it swaps whole tasks through gpu(0).)
+    nn::FreshInit init(config_.base_seed);
+    section_ = std::make_unique<nn::ServerSection>(
+        client_config_.model, client_config_.split, client_config_.adapter,
+        init, *host_, server_rng);
+    gpu_ = &devices_->gpu(0);
+    on_gpu_.store(false);
+  } else {
+    // The structure follows the store's block-to-GPU layer assignment, so
+    // a multi-GPU server splits every client's section the same way.
+    nn::SharedSource source = store_->source();
+    const std::function<gpusim::Device&(int)> device_for =
+        [this](int block) -> gpusim::Device& {
+      return store_->device_for_block(block);
+    };
+    section_ = std::make_unique<nn::ServerSection>(
+        client_config_.model, client_config_.split, client_config_.adapter,
+        source, device_for, server_rng);
+    gpu_ = &section_->entry_device();
+    on_gpu_.store(true);
+  }
+
+  optimizer_ = optim::make_optimizer(client_config_.optimizer,
+                                     section_->trainable_parameters(),
+                                     client_config_.lr);
 }
 
 std::string ServingSession::profile_key() const {
@@ -875,25 +846,29 @@ void ServingSession::start_forward(const net::Message& msg) {
   // Busy-pin before requesting so eviction cannot race the computation;
   // swap the adapter + optimizer back in (if evicted) once granted.
   offload_begin_use();
+  await_grant(sched::OpKind::Forward, msg);
+}
+
+void ServingSession::await_grant(sched::OpKind kind, const net::Message& msg) {
   if (holding_allocation_) {
     // holds_across_iteration modes still own the allocation from the
     // previous grant — no scheduler round trip.
-    state_ = State::Forward;
-    finish_forward(msg, 0.0);
+    run_op(kind, msg, 0.0);
     return;
   }
   pending_msg_ = msg;
-  state_ = State::AwaitForwardGrant;
+  state_ = kind == sched::OpKind::Forward ? State::AwaitForwardGrant
+                                          : State::AwaitBackwardGrant;
   wait_sw_.reset();
-  scheduler_->on_request(id_, sched::OpKind::Forward);
+  scheduler_->on_request(id_, kind);
   // The grant arrives as a strand event (possibly already queued if the
   // scheduler granted synchronously).
 }
 
-void ServingSession::finish_forward(const net::Message& msg, double wait_s) {
-  using tensor::Tensor;
-  const bool eval = msg.eval_only;
-  const bool keep = !eval && holds_across_iteration(config_.mode);
+void ServingSession::run_op(sched::OpKind kind, const net::Message& msg,
+                            double wait_s) {
+  const bool forward = kind == sched::OpKind::Forward;
+  state_ = forward ? State::Forward : State::Backward;
   offload_ensure_resident();
 
   util::Stopwatch compute_sw;
@@ -902,6 +877,52 @@ void ServingSession::finish_forward(const net::Message& msg, double wait_s) {
     util::MutexLock lock(stats_mutex_);
     ++stats_.swaps;
   }
+  if (forward) {
+    finish_forward(msg, wait_s, compute_sw);
+  } else {
+    finish_backward(msg, wait_s, compute_sw);
+  }
+}
+
+void ServingSession::reply_result(sched::OpKind kind, net::WireTensor result,
+                                  std::uint64_t iteration, double wait_s,
+                                  double compute_s) {
+  const bool forward = kind == sched::OpKind::Forward;
+  {
+    util::MutexLock lock(stats_mutex_);
+    stats_.schedule_wait_s.add(wait_s);
+    stats_.compute_s.add(compute_s);
+    if (!forward) ++stats_.iterations;
+  }
+  if (config_.trace != nullptr) {
+    config_.trace->record(util::TraceCategory::Scheduler,
+                          forward ? "forward.wait" : "backward.wait", id_,
+                          static_cast<std::uint64_t>(wait_s * 1e6));
+    config_.trace->record(util::TraceCategory::Session,
+                          forward ? "forward.compute" : "backward.compute",
+                          id_, static_cast<std::uint64_t>(compute_s * 1e6));
+  }
+  net::Message reply =
+      forward ? net::Message::forward_result(std::move(result), iteration)
+              : net::Message::backward_result(std::move(result), iteration);
+  reply.tensor_codec = codec_;
+  reply.compute_seconds = compute_s;
+  reply.schedule_wait_seconds = wait_s;
+  if (!forward) {
+    // At-least-once bookkeeping for start_backward's redelivery check.
+    backwards_applied_.store(iteration + 1);
+    if (lease_enabled()) last_backward_reply_ = reply;
+  }
+  send_reply(reply);
+  state_ = State::AwaitRequest;
+  pump();  // drain frames that buffered while we were computing
+}
+
+void ServingSession::finish_forward(const net::Message& msg, double wait_s,
+                                    const util::Stopwatch& compute_sw) {
+  using tensor::Tensor;
+  const bool eval = msg.eval_only;
+  const bool keep = !eval && holds_across_iteration(config_.mode);
 
   net::WireTensor result;
   if (keep) {
@@ -948,25 +969,8 @@ void ServingSession::finish_forward(const net::Message& msg, double wait_s) {
     release();
   }
 
-  {
-    util::MutexLock lock(stats_mutex_);
-    stats_.schedule_wait_s.add(wait_s);
-    stats_.compute_s.add(compute_s);
-  }
-  if (config_.trace != nullptr) {
-    config_.trace->record(util::TraceCategory::Scheduler, "forward.wait",
-                          id_, static_cast<std::uint64_t>(wait_s * 1e6));
-    config_.trace->record(util::TraceCategory::Session, "forward.compute",
-                          id_, static_cast<std::uint64_t>(compute_s * 1e6));
-  }
-  net::Message reply = net::Message::forward_result(std::move(result),
-                                                    msg.iteration);
-  reply.tensor_codec = codec_;
-  reply.compute_seconds = compute_s;
-  reply.schedule_wait_seconds = wait_s;
-  send_reply(reply);
-  state_ = State::AwaitRequest;
-  pump();  // drain frames that buffered while we were computing
+  reply_result(sched::OpKind::Forward, std::move(result), msg.iteration,
+               wait_s, compute_s);
 }
 
 void ServingSession::start_backward(const net::Message& msg) {
@@ -982,27 +986,12 @@ void ServingSession::start_backward(const net::Message& msg) {
   // Modes that hold the graph across the iteration are still pinned from
   // their Forward; the re-forward modes pin afresh here.
   if (!holds_across_iteration(config_.mode)) offload_begin_use();
-  if (holding_allocation_) {
-    state_ = State::Backward;
-    finish_backward(msg, 0.0);
-    return;
-  }
-  pending_msg_ = msg;
-  state_ = State::AwaitBackwardGrant;
-  wait_sw_.reset();
-  scheduler_->on_request(id_, sched::OpKind::Backward);
+  await_grant(sched::OpKind::Backward, msg);
 }
 
-void ServingSession::finish_backward(const net::Message& msg, double wait_s) {
+void ServingSession::finish_backward(const net::Message& msg, double wait_s,
+                                     const util::Stopwatch& compute_sw) {
   using tensor::Tensor;
-  offload_ensure_resident();
-
-  util::Stopwatch compute_sw;
-  if (!on_gpu_.load()) {
-    swap_to(*gpu_);
-    util::MutexLock lock(stats_mutex_);
-    ++stats_.swaps;
-  }
 
   Tensor x_in;
   Tensor x_out;
@@ -1072,28 +1061,8 @@ void ServingSession::finish_backward(const net::Message& msg, double wait_s) {
     release();
   }
 
-  {
-    util::MutexLock lock(stats_mutex_);
-    stats_.schedule_wait_s.add(wait_s);
-    stats_.compute_s.add(compute_s);
-    ++stats_.iterations;
-  }
-  if (config_.trace != nullptr) {
-    config_.trace->record(util::TraceCategory::Scheduler, "backward.wait",
-                          id_, static_cast<std::uint64_t>(wait_s * 1e6));
-    config_.trace->record(util::TraceCategory::Session, "backward.compute",
-                          id_, static_cast<std::uint64_t>(compute_s * 1e6));
-  }
-  net::Message reply = net::Message::backward_result(std::move(result),
-                                                     msg.iteration);
-  reply.tensor_codec = codec_;
-  reply.compute_seconds = compute_s;
-  reply.schedule_wait_seconds = wait_s;
-  backwards_applied_.store(msg.iteration + 1);
-  if (lease_enabled()) last_backward_reply_ = reply;
-  send_reply(reply);
-  state_ = State::AwaitRequest;
-  pump();  // drain frames that buffered while we were computing
+  reply_result(sched::OpKind::Backward, std::move(result), msg.iteration,
+               wait_s, compute_s);
 }
 
 // ----- live migration (fleet) -------------------------------------------
@@ -1188,19 +1157,7 @@ void ServingSession::finish_migrated() {
   // engine claims were already transferred by export_event.
   state_ = State::Finished;
   unwatch_conn();
-  held_input_ = tensor::Tensor();
-  held_output_ = tensor::Tensor();
-  cached_activation_ = net::WireTensor();
-  pending_msg_ = net::Message();
-  last_backward_reply_ = net::Message();
-  section_.reset();
-  optimizer_.reset();
-  {
-    util::MutexLock lock(conn_mutex_);
-    if (connection_ != nullptr) connection_->close();
-    connection_ = nullptr;
-  }
-  serving_conn_.reset();
+  drop_state();
   finished_.store(true);
   if (on_finished_) on_finished_();
 }
@@ -1219,25 +1176,10 @@ void ServingSession::import_migrated(const MigrationTicket& ticket) {
   // partitions before building anything on the GPU.
   scheduler_->register_client(id_, demands_, batch_key_);
   try {
-    // Same derivation as handshake(): the fresh adapters are overwritten
-    // by the blob below, but building them identically keeps the section
+    // Same builder as handshake(): the fresh adapters are overwritten by
+    // the blob below, but building them identically keeps the section
     // layout (and RNG stream consumption) in lockstep with the source.
-    util::Rng root(client_config_.adapter_seed);
-    (void)root.fork();
-    util::Rng server_rng = root.fork();
-    nn::SharedSource source = store_->source();
-    const std::function<gpusim::Device&(int)> device_for =
-        [this](int block) -> gpusim::Device& {
-      return store_->device_for_block(block);
-    };
-    section_ = std::make_unique<nn::ServerSection>(
-        client_config_.model, client_config_.split, client_config_.adapter,
-        source, device_for, server_rng);
-    gpu_ = &section_->entry_device();
-    on_gpu_.store(true);
-    optimizer_ = optim::make_optimizer(client_config_.optimizer,
-                                       section_->trainable_parameters(),
-                                       client_config_.lr);
+    build_section();
     deserialize_adapter(ticket.adapter_blob.data(),
                         ticket.adapter_blob.size(), *section_);
     std::vector<tensor::Tensor> state = optimizer_->state_tensors();
@@ -1334,22 +1276,28 @@ void ServingSession::cleanup() {
     scheduler_->release_persistent(0, persistent_bytes_.load());
     persistent_bytes_.store(0);
   }
-  // Free the client's GPU state promptly.
+  drop_state();
+  if (config_.trace != nullptr) {
+    config_.trace->record(util::TraceCategory::Session, "disconnect", id_);
+  }
+  finished_.store(true);
+}
+
+void ServingSession::drop_state() {
+  // Free the client's GPU state promptly, then let go of the link.
   held_input_ = tensor::Tensor();
   held_output_ = tensor::Tensor();
   cached_activation_ = net::WireTensor();
   pending_msg_ = net::Message();
+  last_backward_reply_ = net::Message();
   section_.reset();
   optimizer_.reset();
   {
     util::MutexLock lock(conn_mutex_);
     if (connection_ != nullptr) connection_->close();
+    connection_ = nullptr;
   }
   serving_conn_.reset();
-  if (config_.trace != nullptr) {
-    config_.trace->record(util::TraceCategory::Session, "disconnect", id_);
-  }
-  finished_.store(true);
 }
 
 }  // namespace menos::core

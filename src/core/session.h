@@ -14,6 +14,13 @@
 //        ... -> Parked (link loss under a lease) -> AwaitRequest (resume)
 //        ... -> Finished
 //
+// Forward and Backward requests take one path from request to reply: the
+// shared await-grant step (skipped while a hold-across-iteration mode
+// still owns its allocation), one grant event keyed on the awaited kind,
+// the solo compute or a fused batch pass (Policy::CoalescedBatch), and
+// one reply epilogue (reply_result) that records stats and trace events,
+// replies in the session's codec and returns to AwaitRequest.
+//
 // All transitions run on the session's util::Strand over the server's
 // shared core::Executor, so events are serialized per session without a
 // per-session thread or lock. Readiness ("a frame may have arrived")
@@ -234,10 +241,31 @@ class ServingSession
   void route_resume(std::uint64_t token);
 
   void start_forward(const net::Message& msg);
-  void finish_forward(const net::Message& msg, double wait_s);
   void start_backward(const net::Message& msg);
-  void finish_backward(const net::Message& msg, double wait_s);
+  /// The solo compute halves of run_op; `compute_sw` started before the
+  /// residency/swap-in prologue.
+  void finish_forward(const net::Message& msg, double wait_s,
+                      const util::Stopwatch& compute_sw);
+  void finish_backward(const net::Message& msg, double wait_s,
+                       const util::Stopwatch& compute_sw);
+
+  /// The shared await-grant step: run `msg` at once when the allocation is
+  /// still held (holds_across_iteration modes), else queue it on the
+  /// scheduler and wait in the matching Await*Grant state.
+  void await_grant(sched::OpKind kind, const net::Message& msg);
+  /// Enter the compute state for `kind`, make the client's state resident
+  /// (offload swap-in, vanilla task swap-in) and run the solo op.
+  void run_op(sched::OpKind kind, const net::Message& msg, double wait_s);
+  /// The kind the current Await*Grant state waits for, or nullopt.
+  std::optional<sched::OpKind> awaited_kind() const;
   void grant_event();
+
+  /// The reply epilogue every op ends in (solo forward, solo backward,
+  /// fused batch): wait/compute stats, trace events, a Forward/Backward
+  /// result carrying the session codec and timings, the backward dedup
+  /// bookkeeping, then back to AwaitRequest and pump().
+  void reply_result(sched::OpKind kind, net::WireTensor result,
+                    std::uint64_t iteration, double wait_s, double compute_s);
   void resume_event();
   void stop_event();
   void expire_event();
@@ -257,6 +285,10 @@ class ServingSession
   std::optional<MigrationTicket> export_event();
   void finish_migrated();
 
+  /// Build section_ + optimizer_ for client_config_ (handshake and import
+  /// share it, so both consume the adapter RNG streams identically).
+  void build_section();
+
   /// Terminal transitions. finish_now: the pre-handshake exits that leave
   /// the connection open and skip cleanup (nothing was registered).
   /// finish_session: the full teardown path through cleanup().
@@ -264,6 +296,9 @@ class ServingSession
   void finish_session();
   void fail_session(const std::string& reason);
   void cleanup();
+  /// The state-dropping tail of cleanup() and finish_migrated(): free the
+  /// client's GPU state and iteration caches, close and drop the link.
+  void drop_state();
 
   // ----- poller plumbing -----
   void watch_conn(const std::shared_ptr<net::Connection>& conn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 
 namespace menos::sched {
 namespace {
@@ -178,36 +179,28 @@ void Scheduler::on_request(int client_id, OpKind kind) {
 }
 
 void Scheduler::on_complete(int client_id) {
-  PendingDispatch out;
-  {
-    util::MutexLock lock(mutex_);
-    auto it = allocations_.find(client_id);
-    MENOS_CHECK_MSG(it != allocations_.end(),
-                    "completion from client " << client_id
-                                              << " with no allocation");
-    if (it->second.granted_at > 0.0) {
-      update_estimate_locked(client_id, clock_() - it->second.granted_at);
-    }
-    free_[static_cast<std::size_t>(it->second.partition)] += it->second.bytes;
-    allocations_.erase(it);
-    schedule_locked();
-    out = take_pending_locked();
-  }
-  dispatch(out);
+  complete(std::span<const int>(&client_id, 1), /*must_hold=*/true);
 }
 
 void Scheduler::on_complete_group(const std::vector<int>& clients) {
+  complete(clients, /*must_hold=*/false);
+}
+
+void Scheduler::complete(std::span<const int> clients, bool must_hold) {
   PendingDispatch out;
   {
     util::MutexLock lock(mutex_);
     for (int client_id : clients) {
       auto it = allocations_.find(client_id);
-      // A member torn down mid-pass has already released its own charge
-      // through its cleanup path; skip it.
-      if (it == allocations_.end()) continue;
+      if (it == allocations_.end()) {
+        // A group member torn down mid-pass has already released its own
+        // charge through its cleanup path; a solo completion must hold one.
+        MENOS_CHECK_MSG(!must_hold, "completion from client "
+                                        << client_id << " with no allocation");
+        continue;
+      }
       if (it->second.granted_at > 0.0) {
-        update_estimate_locked(client_id,
-                               clock_() - it->second.granted_at);
+        update_estimate_locked(client_id, clock_() - it->second.granted_at);
       }
       free_[static_cast<std::size_t>(it->second.partition)] +=
           it->second.bytes;
@@ -287,13 +280,60 @@ void Scheduler::dispatch(PendingDispatch& pending) {
   }
 }
 
+std::size_t Scheduler::scan_order_locked(std::vector<std::size_t>& order) {
+  // Only StragglerAware classifies; a zero median defers nobody, so every
+  // other policy (and a homogeneous population) scans in FCFS order.
+  const bool classify = policy_ == Policy::StragglerAware;
+  const double median = classify ? estimate_median_locked() : 0.0;
+  const double now = classify ? clock_() : 0.0;
+  std::vector<std::size_t> deferred;
+  order.reserve(waiting_.size());
+  for (std::size_t i = 0; i < waiting_.size(); ++i) {
+    const Waiting& w = waiting_[i];
+    if (median > 0.0) {
+      double est = 0.0;
+      if (auto it = service_est_.find(w.client_id); it != service_est_.end()) {
+        est = it->second;
+      }
+      if (est > straggler_ratio_ * median) {
+        // Anti-starvation: a straggler that has already waited longer than
+        // promote_slack x its own service time rejoins the fast scan at its
+        // FCFS position instead of being deferred again.
+        if (now - w.enqueued_at <= promote_slack_ * est) {
+          deferred.push_back(i);
+          continue;
+        }
+        ++stats_.straggler_promotions;
+      }
+    }
+    order.push_back(i);
+  }
+  const std::size_t fast = order.size();
+  order.insert(order.end(), deferred.begin(), deferred.end());
+  return fast;
+}
+
+void Scheduler::charge_locked(int client_id, std::size_t bytes, int partition,
+                              bool backfill) {
+  free_[static_cast<std::size_t>(partition)] -= bytes;
+  allocations_[client_id] = Allocation{bytes, partition, clock_()};
+  ++stats_.grants;
+  if (backfill) ++stats_.backfill_grants;
+}
+
 void Scheduler::schedule_locked() {
   if (!grant_callback_) return;
-  if (policy_ == Policy::StragglerAware) {
-    schedule_straggler_locked();
-    return;
-  }
-  bool head_blocked = false;
+  std::vector<std::size_t> order;
+  const std::size_t fast = scan_order_locked(order);
+  // Queue index of the earliest-arrived deferred straggler (deferred
+  // entries keep FCFS order): fast-class grants behind it are reorders.
+  const std::size_t first_deferred =
+      fast < order.size() ? order[fast] : waiting_.size();
+
+  // Granted entries stay in waiting_ until the pass ends (one erase at the
+  // end), so the coalescing member scan and this loop skip them by index.
+  std::vector<bool> granted(waiting_.size(), false);
+  bool head_blocked = false;      // an earlier-scanned entry still waits
   bool backward_blocked = false;  // an earlier backward is still waiting
   bool reclaim_dry = false;       // a reclaim this pass came up short
   // (batch_key, kind) classes held back this pass for a fuller group: once
@@ -307,20 +347,20 @@ void Scheduler::schedule_locked() {
     }
     return false;
   };
-  // One pass in FCFS order; every grant frees no memory, so a single pass
+  // One pass in scan order; every grant frees no memory, so a single pass
   // is complete (grants only shrink availability).
-  for (std::size_t i = 0; i < waiting_.size();) {
-    const Waiting w = waiting_[i];
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const std::size_t idx = order[pos];
+    if (granted[idx]) continue;  // joined an earlier group grant
+    const Waiting& w = waiting_[idx];
     const std::size_t bytes = demands_[w.client_id].bytes_for(w.kind);
     const std::uint64_t key = batch_key_of_locked(w.client_id);
 
     // Fairness gate (see header): a backward may not overtake an earlier
-    // still-waiting backward; under FcfsOnly nothing overtakes a blocked
-    // head at all; a held coalescing class stays held for the whole pass.
-    const bool gated =
-        (policy_ == Policy::FcfsOnly && head_blocked) ||
-        (w.kind == OpKind::Backward && backward_blocked) ||
-        (key != 0 && is_held(key, w.kind));
+    // still-waiting backward; a held coalescing class stays held for the
+    // whole pass.
+    const bool gated = (w.kind == OpKind::Backward && backward_blocked) ||
+                       (key != 0 && is_held(key, w.kind));
     std::optional<int> partition;
     if (!gated) partition = find_partition_locked(bytes);
 
@@ -343,115 +383,37 @@ void Scheduler::schedule_locked() {
     }
 
     if (partition.has_value()) {
-      if (policy_ == Policy::CoalescedBatch && key != 0) {
-        if (try_coalesce_locked(i, key, *partition,
-                                head_blocked || backward_blocked)) {
-          continue;  // members erased; i now indexes the next survivor
-        }
-        // More compatible requests wait than currently fit: hold the whole
-        // class back this pass so the group forms at full size once the
-        // memory frees (see the header's no-stall argument).
-        held.emplace_back(key, w.kind);
-        if (i == 0) head_blocked = true;
-        if (w.kind == OpKind::Backward) backward_blocked = true;
-        ++i;
+      const bool backfill = head_blocked || backward_blocked;
+      if (policy_ != Policy::CoalescedBatch || key == 0) {
+        charge_locked(w.client_id, bytes, *partition, backfill);
+        // Did the reorder engage? A fast-class grant that jumped an
+        // earlier-arrived deferred straggler.
+        if (pos < fast && first_deferred < idx) ++stats_.straggler_reorders;
+        pending_grants_.push_back(Grant{w.client_id, w.kind, *partition, {}});
+        granted[idx] = true;
         continue;
       }
-      free_[static_cast<std::size_t>(*partition)] -= bytes;
-      allocations_[w.client_id] = Allocation{bytes, *partition, clock_()};
-      ++stats_.grants;
-      if (head_blocked || backward_blocked) ++stats_.backfill_grants;
-      pending_grants_.push_back(Grant{w.client_id, w.kind, *partition, {}});
-      waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
+      if (try_coalesce_locked(idx, key, *partition, backfill, granted)) {
+        continue;
+      }
+      // More compatible requests wait than currently fit: hold the whole
+      // class back this pass so the group forms at full size once the
+      // memory frees (see the header's no-stall argument).
+      held.emplace_back(key, w.kind);
     }
 
-    if (i == 0) head_blocked = true;
-    if (policy_ == Policy::FcfsOnly) {
-      ++stats_.blocked_cycles;
-      return;  // strict FCFS: quit the scheduling cycle (Alg 2 line 18)
-    }
+    head_blocked = true;
+    // Strict FCFS: quit the scheduling cycle (Alg 2 line 18).
+    if (policy_ == Policy::FcfsOnly) break;
     if (w.kind == OpKind::Backward) backward_blocked = true;
-    ++i;
   }
-  if (head_blocked) ++stats_.blocked_cycles;
-}
 
-void Scheduler::schedule_straggler_locked() {
-  // Classify the waiting queue: fast clients first (FCFS), deferred
-  // stragglers after (FCFS). With nothing classified as a straggler,
-  // `order` IS the FCFS queue and the loop below replays the FcfsBackfill
-  // pass of schedule_locked exactly — grant sequence, backfill accounting
-  // and blocked_cycles included. That degeneration is the homogeneous
-  // fairness pin (sched_test / hetero_test).
-  const double median = estimate_median_locked();
-  const double now = clock_();
-  std::vector<std::size_t> order;
-  order.reserve(waiting_.size());
-  std::vector<std::size_t> deferred;
-  std::vector<bool> is_deferred(waiting_.size(), false);
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < waiting_.size(); ++i) {
-    const Waiting& w = waiting_[i];
-    double est = 0.0;
-    if (auto it = service_est_.find(w.client_id); it != service_est_.end()) {
-      est = it->second;
-    }
-    if (median > 0.0 && est > straggler_ratio_ * median) {
-      // Anti-starvation: a straggler that has already waited longer than
-      // promote_slack x its own service time rejoins the fast scan at its
-      // FCFS position instead of being deferred again.
-      if (now - w.enqueued_at > promote_slack_ * est) {
-        ++stats_.straggler_promotions;
-      } else {
-        deferred.push_back(i);
-        is_deferred[i] = true;
-        continue;
-      }
-    }
-    order.push_back(i);
+    if (!granted[i]) waiting_[kept++] = waiting_[i];
   }
-  order.insert(order.end(), deferred.begin(), deferred.end());
-
-  bool head_blocked = false;
-  bool backward_blocked = false;
-  // Mirrors schedule_locked's `i == 0` head test under deferred erasure:
-  // an entry is "at the head" when every earlier-traversed entry was
-  // granted (i.e. would already have been erased by the eager loop).
-  bool ungranted_before = false;
-  std::vector<std::size_t> granted;
-  for (std::size_t idx : order) {
-    const Waiting& w = waiting_[idx];
-    const std::size_t bytes = demands_[w.client_id].bytes_for(w.kind);
-    const bool gated = w.kind == OpKind::Backward && backward_blocked;
-    std::optional<int> partition;
-    if (!gated) partition = find_partition_locked(bytes);
-    if (!partition.has_value()) {
-      if (!ungranted_before) head_blocked = true;
-      ungranted_before = true;
-      if (w.kind == OpKind::Backward) backward_blocked = true;
-      continue;
-    }
-    free_[static_cast<std::size_t>(*partition)] -= bytes;
-    allocations_[w.client_id] = Allocation{bytes, *partition, clock_()};
-    ++stats_.grants;
-    if (head_blocked || backward_blocked) ++stats_.backfill_grants;
-    if (!is_deferred[idx]) {
-      // Did the reorder engage? Count grants that jumped an earlier-arrived
-      // request deferred as a straggler this pass.
-      for (std::size_t d : deferred) {
-        if (waiting_[d].seq < w.seq) {
-          ++stats_.straggler_reorders;
-          break;
-        }
-      }
-    }
-    pending_grants_.push_back(Grant{w.client_id, w.kind, *partition, {}});
-    granted.push_back(idx);
-  }
-  std::sort(granted.begin(), granted.end());
-  for (std::size_t k = granted.size(); k-- > 0;) {
-    waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(granted[k]));
-  }
+  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 waiting_.end());
   if (head_blocked) ++stats_.blocked_cycles;
 }
 
@@ -509,10 +471,12 @@ std::uint64_t Scheduler::batch_key_of_locked(int client_id) const {
 }
 
 bool Scheduler::try_coalesce_locked(std::size_t leader_idx, std::uint64_t key,
-                                    int partition, bool leader_backfill) {
+                                    int partition, bool leader_backfill,
+                                    std::vector<bool>& granted) {
   const Waiting leader = waiting_[leader_idx];
   // Collect members in FCFS order: the leader, then every later waiting
-  // entry of the same (kind, batch_key). The scan STOPS at the first
+  // entry of the same (kind, batch_key), skipping entries this pass already
+  // granted (they are no longer waiting). The scan STOPS at the first
   // non-joining Backward — granting members past it would overtake an
   // earlier waiting backward, which the fairness contract forbids. A
   // skipped non-joining Forward marks every member gathered after it as a
@@ -525,6 +489,7 @@ bool Scheduler::try_coalesce_locked(std::size_t leader_idx, std::uint64_t key,
   bool skipped = false;
   for (std::size_t j = leader_idx + 1;
        j < waiting_.size() && members.size() < max_group_; ++j) {
+    if (granted[j]) continue;
     const Waiting& cand = waiting_[j];
     const bool joins = cand.kind == leader.kind &&
                        batch_key_of_locked(cand.client_id) == key;
@@ -564,21 +529,15 @@ bool Scheduler::try_coalesce_locked(std::size_t leader_idx, std::uint64_t key,
   }
   for (const Member& m : members) {
     const int client_id = waiting_[m.idx].client_id;
-    const std::size_t bytes = demands_[client_id].bytes_for(leader.kind);
-    free_[static_cast<std::size_t>(partition)] -= bytes;
-    allocations_[client_id] = Allocation{bytes, partition, clock_()};
-    ++stats_.grants;
-    if (leader_backfill || m.overtakes) ++stats_.backfill_grants;
+    charge_locked(client_id, demands_[client_id].bytes_for(leader.kind),
+                  partition, leader_backfill || m.overtakes);
+    granted[m.idx] = true;
   }
   if (target > 1) {
     ++stats_.coalesced_groups;
     stats_.coalesced_members += target;
   }
   pending_grants_.push_back(std::move(grant));
-  for (std::size_t k = members.size(); k-- > 0;) {
-    waiting_.erase(waiting_.begin() +
-                   static_cast<std::ptrdiff_t>(members[k].idx));
-  }
   return true;
 }
 

@@ -7,6 +7,15 @@
 // from the IBM SP2 backfilling scheduler the paper cites [Mu'alem &
 // Feitelson 2001].
 //
+// Every policy runs the same single SCHEDULE pass. It first builds a scan
+// order — the FCFS queue, or under StragglerAware the fast clients ahead
+// of deferred stragglers — then walks that order once, erasing the
+// granted entries when the walk ends. The policies differ only in what
+// that one walk does at a request: FcfsOnly stops at the first request
+// it cannot grant, SwapOnIdle reclaims idle memory before declaring a
+// request blocked, and CoalescedBatch grants compatible requests as one
+// group (below).
+//
 // Interpretation of the paper's two fairness claims, which the raw
 // pseudo-code leaves ambiguous:
 //  * "the FCFS logic prevents long-waiting backward requests from being
@@ -52,6 +61,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -67,29 +77,32 @@ enum class OpKind : std::uint8_t { Forward, Backward };
 
 const char* op_kind_name(OpKind kind) noexcept;
 
+/// Each policy is the one SCHEDULE pass (see the class comment) with one
+/// step changed; FcfsBackfill changes nothing.
 enum class Policy : std::uint8_t {
-  FcfsOnly,      ///< strict: first unsatisfiable request blocks everything
+  /// The walk stops at the first request it cannot grant: strict FCFS.
+  FcfsOnly,
   FcfsBackfill,  ///< the Menos scheduler (default)
-  /// FcfsBackfill, plus: before declaring a request (or a persistent
-  /// reservation) blocked, invoke the reclaim callback so the owner can
-  /// evict idle clients' persistent state to host memory (the
-  /// mem::OffloadEngine) and hand the freed bytes back to the pool.
+  /// Before the walk declares a request (or a persistent reservation)
+  /// blocked, it invokes the reclaim callback so the owner can evict idle
+  /// clients' persistent state to host memory (the mem::OffloadEngine)
+  /// and hand the freed bytes back to the pool.
   SwapOnIdle,
-  /// FcfsBackfill, plus: compatible waiting requests (same kind, same
-  /// nonzero batch_key) coalesce into one group grant for a fused batched
-  /// pass through the shared trunk (see the class comment).
+  /// The walk grants compatible waiting requests (same kind, same nonzero
+  /// batch_key) as one group grant for a fused batched pass through the
+  /// shared trunk (see the class comment).
   CoalescedBatch,
-  /// FcfsBackfill, plus: straggler-aware grant reordering. Per-client
-  /// service times (grant -> release wall time, EWMA) classify clients
-  /// whose estimate exceeds straggler_ratio x the population median as
-  /// stragglers; each SCHEDULE pass scans the non-straggler queue first
-  /// (in FCFS order) and the stragglers after (also FCFS), so a slow
-  /// client at the head cannot pin fast clients behind its long
-  /// memory-hold cycles. Anti-starvation: a straggler waiting longer than
-  /// promote_slack x its own estimate is scanned with the fast class
-  /// again. With no classified stragglers the pass degenerates to exactly
-  /// FcfsBackfill — grant order, stats and all — which is what keeps
-  /// homogeneous populations bit-identical under this policy (pinned in
+  /// Straggler-aware scan order. Per-client service times (grant ->
+  /// release wall time, EWMA) classify clients whose estimate exceeds
+  /// straggler_ratio x the population median as stragglers; the scan
+  /// order lists the non-straggler queue first (in FCFS order) and the
+  /// stragglers after (also FCFS), so a slow client at the head cannot
+  /// pin fast clients behind its long memory-hold cycles. Anti-starvation:
+  /// a straggler waiting longer than promote_slack x its own estimate is
+  /// scanned with the fast class again. With no classified stragglers the
+  /// scan order is the FCFS queue, so the pass is exactly FcfsBackfill —
+  /// grant order, stats and all — which is what keeps homogeneous
+  /// populations bit-identical under this policy (pinned in
   /// sched_test/hetero_test).
   StragglerAware,
 };
@@ -281,18 +294,29 @@ class Scheduler {
     double granted_at = 0.0;  ///< steady-clock seconds, for service timing
   };
 
-  // SCHEDULE procedure (Algorithm 2 lines 14-24). Runs with mutex_ held
-  // and appends grants to pending_grants_ instead of invoking the callback
-  // inline; every public mutator drains pending_grants_ into the callback
-  // after unlocking (see the class comment).
+  // SCHEDULE procedure (Algorithm 2 lines 14-24), one pass for every
+  // policy (see the class comment). Runs with mutex_ held and appends
+  // grants to pending_grants_ instead of invoking the callback inline;
+  // every public mutator drains pending_grants_ into the callback after
+  // unlocking.
   void schedule_locked() MENOS_REQUIRES(mutex_);
 
-  /// The StragglerAware SCHEDULE pass: FcfsBackfill semantics over a
-  /// reordered scan (fast clients first, stragglers after, FCFS within
-  /// each class). Reduces to schedule_locked's FcfsBackfill behaviour —
-  /// identical grant sequence and stats — when no client classifies as a
-  /// straggler.
-  void schedule_straggler_locked() MENOS_REQUIRES(mutex_);
+  /// Fill `order` with waiting_ indices in scan order and return how many
+  /// lead it in the fast class; order[fast..] are the deferred stragglers.
+  /// FCFS for every policy but StragglerAware, which moves classified
+  /// stragglers (promotions excepted) behind the fast class, FCFS within
+  /// each class.
+  std::size_t scan_order_locked(std::vector<std::size_t>& order)
+      MENOS_REQUIRES(mutex_);
+
+  /// Book one grant's memory and stats (solo or one group member).
+  void charge_locked(int client_id, std::size_t bytes, int partition,
+                     bool backfill) MENOS_REQUIRES(mutex_);
+
+  /// Release the listed clients' allocations, then run one SCHEDULE pass.
+  /// `must_hold`: a listed client without an allocation is an error
+  /// (on_complete) rather than skipped (on_complete_group).
+  void complete(std::span<const int> clients, bool must_hold);
 
   /// EWMA fold of one observed service time.
   void update_estimate_locked(int client_id, double seconds)
@@ -327,14 +351,15 @@ class Scheduler {
       MENOS_REQUIRES(mutex_);
 
   /// Try to commit a group grant led by waiting_[leader_idx] (whose solo
-  /// demand already fits `partition`). Returns true and erases the granted
-  /// members if the group committed (possibly as a solo grant when no
-  /// compatible request waits behind the leader); returns false when more
-  /// compatible requests are waiting than currently fit — the caller holds
-  /// the whole (key, kind) class back for this pass.
+  /// demand already fits `partition`). Entries flagged in `granted` are
+  /// invisible to the member scan. Returns true and flags the members if
+  /// the group committed (possibly as a solo grant when no compatible
+  /// request waits behind the leader); returns false when more compatible
+  /// requests are waiting than currently fit — the caller holds the whole
+  /// (key, kind) class back for this pass.
   bool try_coalesce_locked(std::size_t leader_idx, std::uint64_t key,
-                           int partition, bool leader_backfill)
-      MENOS_REQUIRES(mutex_);
+                           int partition, bool leader_backfill,
+                           std::vector<bool>& granted) MENOS_REQUIRES(mutex_);
 
   /// Invoke the reclaim callback until `bytes` fit in `partition` (or the
   /// callback runs dry). Credits freed bytes to free_ and capacity_.

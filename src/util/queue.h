@@ -150,10 +150,11 @@ class WaitGroup {
   }
 
   void done() {
-    {
-      MutexLock lock(mutex_);
-      --count_;
-    }
+    // Notify under the lock: once count_ hits zero a waiter may return and
+    // destroy this WaitGroup, so the condvar must not be touched after the
+    // mutex drops.
+    MutexLock lock(mutex_);
+    --count_;
     cv_.notify_all();
   }
 

@@ -53,6 +53,11 @@ struct Scenario {
   nn::TransformerConfig model;
   nn::AdapterSpec adapter;
   ServingMode mode = ServingMode::MenosOnDemand;
+  /// Wire codec every client negotiates (ClientProfile::codec).
+  net::ActivationCodec codec = net::ActivationCodec::None;
+  /// Serve over TCP loopback instead of in-process pairs. Only a real
+  /// socket encodes frames, so only TCP exercises the codec.
+  bool tcp = false;
 };
 
 nn::AdapterSpec prefix_adapter() {
@@ -79,7 +84,12 @@ struct Rig {
     config.executor_threads =
         std::getenv("MENOS_EXECUTOR_THREADS") != nullptr ? 0 : 4;
     server = std::make_unique<Server>(config, devices, sc.model);
-    server->start(acceptor);
+    if (sc.tcp) {
+      listener = net::tcp_listen(0);
+      server->start(*listener);
+    } else {
+      server->start(acceptor);
+    }
   }
   ~Rig() {
     if (server != nullptr) server->stop();
@@ -92,9 +102,13 @@ struct Rig {
     options.finetune.batch_size = 2;
     options.finetune.seq_len = 8;
     options.finetune.adapter_seed = seed;
+    options.finetune.profile.codec = scenario.codec;
     options.base_seed = 42;
-    auto c = std::make_unique<Client>(options, acceptor.connect(),
-                                      client_devices.gpu(0));
+    auto c = std::make_unique<Client>(
+        options,
+        listener != nullptr ? net::tcp_connect("127.0.0.1", listener->port())
+                            : acceptor.connect(),
+        client_devices.gpu(0));
     c->connect();
     return c;
   }
@@ -104,6 +118,7 @@ struct Rig {
   gpusim::DeviceManager client_devices{1, 1u << 30};
   ServerConfig config;
   net::InprocAcceptor acceptor;
+  std::unique_ptr<net::TcpListener> listener;  // set when scenario.tcp
   std::unique_ptr<Server> server;
 };
 
@@ -380,6 +395,17 @@ TEST(Batching, LoraClientsNeverCoalesceButStillMatchSolo) {
   // touching the math.
   run_scenario({bt_opt(), lora_adapter(), ServingMode::MenosOnDemand},
                /*expect_groups=*/false);
+}
+
+TEST(Batching, Int8CodecSurvivesFusedRepliesOverTcp) {
+  // Fused replies must carry each member's negotiated codec exactly like
+  // solo replies do: over a real socket an Int8 session coalesced into a
+  // group must decode the same quantized floats as its solo FCFS run (an
+  // f32 fused reply would be 4x the bytes and train a different curve).
+  Scenario sc{bt_opt(), prefix_adapter(), ServingMode::MenosOnDemand};
+  sc.codec = net::ActivationCodec::Int8;
+  sc.tcp = true;
+  run_scenario(sc, /*expect_groups=*/true);
 }
 
 TEST(Batching, BatchMaxGroupCapsFusedGroupSize) {

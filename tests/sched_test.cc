@@ -2,6 +2,8 @@
 // partition placement, and randomized invariant sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sched/scheduler.h"
@@ -612,6 +614,37 @@ TEST(Scheduler, CancelPendingDropsQueuedRequestAndReschedules) {
   s.on_complete(2);
 }
 
+TEST(Scheduler, InterleavedCoalescingClassesGroupInOnePass) {
+  // Two classes interleaved in the queue (7, 9, 7, 9) both form groups in
+  // the pass that follows the blocker's release. Client 3 joins its group
+  // past the still-waiting client 2, a backfill grant. Client 4 overtakes
+  // nothing: client 3 was granted before group 9 formed, so it no longer
+  // counts as a waiting request that the group jumps.
+  Scheduler s(1000, Policy::CoalescedBatch);
+  GrantLog log;
+  log.attach(s);
+  s.register_client(0, {1000, 1000});  // blocker: queues everything behind it
+  s.register_client(1, {100, 100}, 7);
+  s.register_client(2, {100, 100}, 9);
+  s.register_client(3, {100, 100}, 7);
+  s.register_client(4, {100, 100}, 9);
+  s.on_request(0, OpKind::Forward);
+  for (int c = 1; c <= 4; ++c) s.on_request(c, OpKind::Forward);
+  ASSERT_EQ(log.grants.size(), 1u);
+
+  s.on_complete(0);
+  ASSERT_EQ(log.grants.size(), 3u);
+  EXPECT_EQ(log.grants[1].group, (std::vector<int>{1, 3}));
+  EXPECT_EQ(log.grants[2].group, (std::vector<int>{2, 4}));
+  const SchedulerStats st = s.stats();
+  EXPECT_EQ(st.coalesced_groups, 2u);
+  EXPECT_EQ(st.backfill_grants, 1u);
+  EXPECT_EQ(s.waiting_count(), 0u);
+  s.on_complete_group({1, 3});
+  s.on_complete_group({2, 4});
+  EXPECT_EQ(s.total_available(), 1000u);
+}
+
 TEST(Scheduler, CoalescedBatchRandomTraceConservesMemoryAndDrains) {
   // Randomized sweep over the group-grant path: memory is conserved every
   // step, grants only reach waiting clients, and a full drain leaves no
@@ -829,6 +862,189 @@ TEST(Scheduler, StragglerAwareDegeneratesToFcfsBackfillWhenHomogeneous) {
   EXPECT_EQ(sa.stats.straggler_promotions, 0u);
   // The trace is not degenerate: backfilling actually engaged.
   EXPECT_GT(fcfs.stats.backfill_grants, 0u);
+}
+
+// ----- grant-sequence pin across every policy -----
+
+/// One seeded trace on a virtual clock, condensed to an FNV-1a digest of
+/// the full grant sequence plus the final stats.
+struct PinnedRun {
+  std::uint64_t digest = 14695981039346656037ull;
+  std::uint64_t grants = 0;
+  SchedulerStats stats;
+};
+
+/// Heterogeneous on purpose, so every policy's special path engages: two
+/// slow clients (seeded 16x the others' service estimate, holding their
+/// grants >= 2 virtual seconds) for StragglerAware, two nonzero batch keys
+/// plus a never-coalescing class for CoalescedBatch, two partitions for
+/// best-fit placement, a finite pool of idle persistent bytes the reclaim
+/// callback evicts (and a periodic swap-in re-reserves) for SwapOnIdle,
+/// and a periodic gate that lets the queue pile up before one deep pass.
+/// Other policies run the identical trace; for them the keys, estimates
+/// and callback are inert.
+PinnedRun run_pinned_trace(Policy policy) {
+  constexpr int n = 12;
+  constexpr int kSlowHoldSteps = 40;
+  Scheduler s(std::vector<std::size_t>{1000, 700}, policy);
+  double now = 0.0;
+  s.set_clock([&now] { return now; });
+  s.set_max_group_size(3);
+  s.set_straggler_promote_slack(1.0);
+
+  PinnedRun out;
+  const auto mix = [&out](std::uint64_t v) {
+    out.digest = (out.digest ^ v) * 1099511628211ull;
+  };
+  int step = 0;
+  std::vector<int> state(n, 0);  // 0 idle, 1 waiting, 2 holding
+  std::vector<int> granted_at(n, 0);
+  std::vector<std::vector<int>> live;  // granted units (groups or solos)
+  s.set_grant_callback([&](const Grant& g) {
+    mix(static_cast<std::uint64_t>(g.client_id));
+    mix(static_cast<std::uint64_t>(g.kind));
+    mix(static_cast<std::uint64_t>(g.partition));
+    mix(g.group.size());
+    for (int m : g.group) mix(static_cast<std::uint64_t>(m));
+    ++out.grants;
+    std::vector<int> members =
+        g.group.empty() ? std::vector<int>{g.client_id} : g.group;
+    for (int m : members) {
+      EXPECT_EQ(state[static_cast<std::size_t>(m)], 1);
+      state[static_cast<std::size_t>(m)] = 2;
+      granted_at[static_cast<std::size_t>(m)] = step;
+    }
+    live.push_back(std::move(members));
+  });
+
+  std::vector<std::size_t> idle{0, 0};  // evictable persistent bytes
+  s.set_reclaim_callback([&idle](int partition, std::size_t needed) {
+    std::size_t& pool = idle[static_cast<std::size_t>(partition)];
+    const std::size_t freed = std::min(pool, (needed + 63) / 64 * 64);
+    pool -= freed;
+    return freed;
+  });
+  const auto swap_in = [&](int partition) {
+    try {
+      s.reserve_persistent(partition, 64);
+      idle[static_cast<std::size_t>(partition)] += 64;
+    } catch (const OutOfMemory&) {
+      // Full right now; a later swap-in retries.
+    }
+  };
+  for (int p = 0; p < 2; ++p) {
+    for (int k = 0; k < 3; ++k) swap_in(p);
+  }
+
+  for (int i = 0; i < n; ++i) {
+    const std::size_t fwd = 60 + 35 * static_cast<std::size_t>(i % 4);
+    const std::size_t bwd = fwd + 100 + 50 * static_cast<std::size_t>(i % 3);
+    const std::uint64_t key = i % 3 == 0 ? 7u : (i % 3 == 1 ? 9u : 0u);
+    s.register_client(i, {fwd, bwd}, key);
+    s.record_service_time(i, i < 2 ? 4.0 : 0.25);
+  }
+
+  const auto complete_unit = [&](std::size_t u) {
+    const std::vector<int> members = live[u];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(u));
+    for (int m : members) state[static_cast<std::size_t>(m)] = 0;
+    if (members.size() > 1) {
+      s.on_complete_group(members);
+    } else {
+      s.on_complete(members[0]);
+    }
+  };
+
+  std::vector<std::size_t> gate{0, 0};
+  util::Rng rng(2024);
+  for (step = 0; step < 1500; ++step) {
+    now += 0.05;
+    if (step % 97 == 96) swap_in(step % 2);
+    if (step % 50 == 10) {
+      // Close the gate: reserve every free byte and hold completions back
+      // so requests pile up...
+      for (int p = 0; p < 2; ++p) {
+        gate[static_cast<std::size_t>(p)] = s.available(p);
+        s.reserve_persistent(p, gate[static_cast<std::size_t>(p)]);
+      }
+    } else if (step % 50 == 30) {
+      // ...and reopen it: one pass over a deep queue.
+      for (int p = 0; p < 2; ++p) {
+        s.release_persistent(p, gate[static_cast<std::size_t>(p)]);
+      }
+    }
+    const bool gate_closed = step % 50 >= 10 && step % 50 < 30;
+    const std::uint64_t roll = rng.next_below(10);
+    if (roll < 4 && !live.empty() && !gate_closed) {
+      const std::size_t u = rng.next_below(live.size());
+      bool slow_busy = false;
+      for (int m : live[u]) {
+        slow_busy |= m < 2 && step - granted_at[static_cast<std::size_t>(m)] <
+                                  kSlowHoldSteps;
+      }
+      if (!slow_busy) complete_unit(u);
+    } else if (roll == 9) {
+      const int c = static_cast<int>(rng.next_below(n));
+      if (state[static_cast<std::size_t>(c)] == 1) {
+        state[static_cast<std::size_t>(c)] = 0;
+        s.cancel_pending(c);
+      }
+    } else {
+      const int c = static_cast<int>(rng.next_below(n));
+      const OpKind kind =
+          rng.next_below(4) == 0 ? OpKind::Backward : OpKind::Forward;
+      if (state[static_cast<std::size_t>(c)] == 0) {
+        state[static_cast<std::size_t>(c)] = 1;
+        s.on_request(c, kind);
+      }
+    }
+  }
+  while (!live.empty()) complete_unit(0);
+  EXPECT_EQ(s.waiting_count(), 0u) << "a waiter starved after full drain";
+  out.stats = s.stats();
+  return out;
+}
+
+struct PinnedExpectation {
+  Policy policy;
+  const char* name;
+  std::uint64_t digest;
+  std::uint64_t grants;
+  SchedulerStats stats;
+};
+
+TEST(Scheduler, GrantSequencePinnedForEveryPolicy) {
+  // Captured values: any refactor of the SCHEDULE pass must reproduce each
+  // policy's grant sequence and stats exactly.
+  const PinnedExpectation expected[] = {
+      {Policy::FcfsOnly, "FcfsOnly", 0xfa6e36d74b4e590cull, 321,
+       {346, 321, 0, 478, 0, 0, 0, 0, 0, 0}},
+      {Policy::FcfsBackfill, "FcfsBackfill", 0xc02b79be01124e14ull, 310,
+       {330, 310, 67, 454, 0, 0, 0, 0, 0, 0}},
+      {Policy::SwapOnIdle, "SwapOnIdle", 0x441d00fc850bec28ull, 326,
+       {337, 326, 20, 227, 10, 896, 0, 0, 0, 0}},
+      {Policy::CoalescedBatch, "CoalescedBatch", 0x7722641070046725ull, 298,
+       {347, 320, 100, 519, 0, 0, 18, 40, 0, 0}},
+      {Policy::StragglerAware, "StragglerAware", 0xa97149a2e0d77cedull, 332,
+       {357, 332, 106, 526, 0, 0, 0, 0, 63, 7}},
+  };
+  for (const PinnedExpectation& e : expected) {
+    SCOPED_TRACE(e.name);
+    const PinnedRun run = run_pinned_trace(e.policy);
+    const SchedulerStats& st = run.stats;
+    EXPECT_EQ(run.digest, e.digest);
+    EXPECT_EQ(run.grants, e.grants);
+    EXPECT_EQ(st.requests, e.stats.requests);
+    EXPECT_EQ(st.grants, e.stats.grants);
+    EXPECT_EQ(st.backfill_grants, e.stats.backfill_grants);
+    EXPECT_EQ(st.blocked_cycles, e.stats.blocked_cycles);
+    EXPECT_EQ(st.reclaims, e.stats.reclaims);
+    EXPECT_EQ(st.reclaimed_bytes, e.stats.reclaimed_bytes);
+    EXPECT_EQ(st.coalesced_groups, e.stats.coalesced_groups);
+    EXPECT_EQ(st.coalesced_members, e.stats.coalesced_members);
+    EXPECT_EQ(st.straggler_reorders, e.stats.straggler_reorders);
+    EXPECT_EQ(st.straggler_promotions, e.stats.straggler_promotions);
+  }
 }
 
 // ----- randomized invariant sweep -----
