@@ -18,14 +18,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
@@ -238,13 +237,7 @@ Point run_point(int count) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_batching.json";
   double floor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-floor") == 0 && i + 1 < argc) {
-      floor = std::atof(argv[++i]);
-    } else {
-      out_path = argv[i];
-    }
-  }
+  if (!menos::bench::parse_gate_args(argc, argv, &out_path, &floor)) return 2;
 
   std::printf("fig11_batching: hardware_concurrency=%u\n",
               std::thread::hardware_concurrency());

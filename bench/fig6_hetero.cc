@@ -23,10 +23,10 @@
 // heterogeneous-client path.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/split_sim.h"
 
 namespace {
@@ -136,13 +136,7 @@ PolicyResult run_policy(const char* name, sched::Policy policy,
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_hetero.json";
   double floor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-floor") == 0 && i + 1 < argc) {
-      floor = std::atof(argv[++i]);
-    } else {
-      out_path = argv[i];
-    }
-  }
+  if (!menos::bench::parse_gate_args(argc, argv, &out_path, &floor)) return 2;
 
   const std::vector<ClientClass> pop = population();
 

@@ -1,19 +1,22 @@
 // Tensor-kernel throughput tracker (not a paper figure): the serial seed
-// matmul kernels vs the tiled parallel kernels in tensor/kernels.h, plus
-// op-level activation/normalization timings, at several pool widths.
+// matmul and permute kernels vs the tiled / stride-walking kernels in
+// tensor/kernels.h, plus op-level activation/normalization timings, at
+// several pool widths.
 //
 // Emits BENCH_tensor_ops.json (or argv[1]) so perf PRs have a tracked
 // trajectory; docs/PERF.md explains how to read it. `--check-floor R` exits
-// 1 unless the blocked 512^3 mm at width 1 runs at least R times as fast as
-// the seed kernel compiled into this binary (the perf_smoke ctest).
+// 1 unless, at width 1, the 512^3 mm, mm_nt and mm_tn and the attention
+// head-split permute each run at least R times as fast as their seed
+// kernels compiled into this binary (the perf_smoke ctest). A malformed R
+// exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "gpusim/device.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -23,6 +26,7 @@
 namespace {
 
 using menos::tensor::Index;
+using menos::tensor::Shape;
 using menos::tensor::Tensor;
 using menos::util::ThreadPool;
 
@@ -151,6 +155,49 @@ MatmulResult bench_matmul(const std::string& op, RawKernel seed,
   return res;
 }
 
+struct PermuteResult {
+  std::string use;  // which trunk copy this shape stands for
+  Shape shape;
+  std::vector<int> dims;
+  double seed_ms = 0.0;
+  std::vector<ThreadSample> parallel;
+};
+
+std::string dims_label(const std::vector<int>& dims) {
+  return menos::tensor::shape_to_string(Shape(dims.begin(), dims.end()));
+}
+
+PermuteResult bench_permute(const std::string& use, const Shape& shape,
+                            const std::vector<int>& dims, int reps) {
+  const auto n = static_cast<std::size_t>(menos::tensor::numel_of(shape));
+  menos::util::Rng rng(5);
+  std::vector<float> in(n);
+  std::vector<float> out(n);
+  rng.fill_normal(in.data(), n, 1.0f);
+
+  PermuteResult res;
+  res.use = use;
+  res.shape = shape;
+  res.dims = dims;
+  // The seed baseline is permute_ref: the per-element div/mod loop the
+  // stride-walking kernel replaced, kept verbatim as its test oracle.
+  res.seed_ms = 1e3 * time_best(reps, [&] {
+    menos::tensor::kernels::permute_ref(in.data(), out.data(), shape, dims);
+  });
+  for (int width : bench_widths()) {
+    ThreadPool::instance().set_num_threads(width);
+    ThreadSample s;
+    s.threads = width;
+    s.ms = 1e3 * time_best(reps, [&] {
+      menos::tensor::kernels::permute(in.data(), out.data(), shape, dims);
+    });
+    s.speedup_vs_seed = res.seed_ms / s.ms;
+    res.parallel.push_back(s);
+  }
+  ThreadPool::instance().set_num_threads(1);
+  return res;
+}
+
 struct OpResult {
   std::string op;
   std::string shape;
@@ -182,7 +229,7 @@ void json_samples(std::FILE* f, const std::vector<ThreadSample>& samples) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const ThreadSample& s = samples[i];
     std::fprintf(f,
-                 "%s\n      {\"threads\": %d, \"ms\": %.3f, \"gflops\": "
+                 "%s\n      {\"threads\": %d, \"ms\": %.4f, \"gflops\": "
                  "%.3f, \"speedup_vs_seed\": %.3f}",
                  i == 0 ? "" : ",", s.threads, s.ms, s.gflops,
                  s.speedup_vs_seed);
@@ -194,18 +241,9 @@ void json_samples(std::FILE* f, const std::vector<ThreadSample>& samples) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_tensor_ops.json";
-  double check_floor = -1.0;  // min 512^3 mm speedup vs seed at width 1
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--check-floor") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--check-floor needs a speedup ratio\n");
-        return 2;
-      }
-      check_floor = std::atof(argv[++i]);
-    } else {
-      out_path = arg;
-    }
+  double check_floor = 0.0;  // min gated speedup vs seed at width 1
+  if (!menos::bench::parse_gate_args(argc, argv, &out_path, &check_floor)) {
+    return 2;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("micro_tensor_ops: hardware_concurrency=%u arch=%s tile=%lldx%lld (%s)\n",
@@ -242,6 +280,32 @@ int main(int argc, char** argv) {
                 r.seed_ms, r.seed_gflops);
     for (const ThreadSample& s : r.parallel) {
       std::printf("  | t=%d %.2f ms %.2fx", s.threads, s.ms,
+                  s.speedup_vs_seed);
+    }
+    std::printf("\n");
+  }
+
+  // Permute on the server trunk's attention copies (batch 4 x seq 32,
+  // 4 heads of 32): the q/k/v head split and ctx merge (contiguous rows),
+  // transpose_last(k) over batch x heads (a strided gather), and the head
+  // split of a 32-client fused batch.
+  std::vector<PermuteResult> permutes;
+  permutes.push_back(
+      bench_permute("head_split", {4, 32, 4, 32}, {0, 2, 1, 3}, 50));
+  permutes.push_back(
+      bench_permute("transpose_last", {16, 32, 32}, {0, 2, 1}, 50));
+  permutes.push_back(
+      bench_permute("fused_head_split", {128, 32, 4, 32}, {0, 2, 1, 3}, 5));
+
+  for (const PermuteResult& r : permutes) {
+    const double floats =
+        static_cast<double>(menos::tensor::numel_of(r.shape));
+    std::printf("permute %-16s %-18s -> %-14s seed %7.3f ms (%.2f ns/float)",
+                r.use.c_str(), menos::tensor::shape_to_string(r.shape).c_str(),
+                dims_label(r.dims).c_str(), r.seed_ms,
+                1e6 * r.seed_ms / floats);
+    for (const ThreadSample& s : r.parallel) {
+      std::printf("  | t=%d %.3f ms %.1fx", s.threads, s.ms,
                   s.speedup_vs_seed);
     }
     std::printf("\n");
@@ -323,6 +387,20 @@ int main(int argc, char** argv) {
     json_samples(f, r.parallel);
     std::fprintf(f, "}");
   }
+  std::fprintf(f, "\n  ],\n  \"permute_kernels\": [\n");
+  for (std::size_t i = 0; i < permutes.size(); ++i) {
+    const PermuteResult& r = permutes[i];
+    std::fprintf(f,
+                 "%s    {\"op\": \"permute\", \"use\": \"%s\", \"shape\": "
+                 "\"%s\", \"dims\": \"%s\",\n     \"numel\": %lld, "
+                 "\"seed_serial_ms\": %.4f,\n     \"parallel\": ",
+                 i == 0 ? "" : ",\n", r.use.c_str(),
+                 menos::tensor::shape_to_string(r.shape).c_str(), dims_label(r.dims).c_str(),
+                 static_cast<long long>(menos::tensor::numel_of(r.shape)),
+                 r.seed_ms);
+    json_samples(f, r.parallel);
+    std::fprintf(f, "}");
+  }
   std::fprintf(f, "\n  ],\n  \"tensor_ops\": [\n");
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const OpResult& r = ops[i];
@@ -337,21 +415,32 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (check_floor > 0.0) {
-    // Perf smoke: a ratio against the seed kernel timed in this same
+    // Perf smoke: ratios against the seed kernels timed in this same
     // process, so the floor means the same on any host. Width 1 keeps the
     // check independent of how many cores the host has.
-    const MatmulResult& r = matmuls.front();  // mm 512^3
-    const double ratio = r.parallel.front().speedup_vs_seed;
-    if (ratio < check_floor) {
-      std::fprintf(stderr,
-                   "FAIL: mm 512^3 at width 1 is %.2fx the seed kernel, "
-                   "below the --check-floor of %.2fx\n",
-                   ratio, check_floor);
-      return 1;
+    struct Gate {
+      std::string what;
+      double ratio;
+    };
+    const std::vector<Gate> gates = {
+        {"mm 512^3", matmuls[0].parallel.front().speedup_vs_seed},
+        {"mm_nt 512^3", matmuls[1].parallel.front().speedup_vs_seed},
+        {"mm_tn 512^3", matmuls[2].parallel.front().speedup_vs_seed},
+        {"permute " + menos::tensor::shape_to_string(permutes[0].shape) + " " +
+             dims_label(permutes[0].dims),
+         permutes[0].parallel.front().speedup_vs_seed},
+    };
+    bool ok = true;
+    for (const Gate& g : gates) {
+      const bool pass = g.ratio >= check_floor;
+      std::fprintf(pass ? stdout : stderr,
+                   "%s: %s at width 1 is %.2fx the seed kernel, %s the "
+                   "--check-floor of %.2fx\n",
+                   pass ? "check-floor ok" : "FAIL", g.what.c_str(), g.ratio,
+                   pass ? "at or above" : "below", check_floor);
+      ok = ok && pass;
     }
-    std::printf("check-floor ok: mm 512^3 at width 1 is %.2fx the seed "
-                "kernel >= %.2fx\n",
-                ratio, check_floor);
+    if (!ok) return 1;
   }
   return 0;
 }

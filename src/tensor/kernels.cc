@@ -1,5 +1,5 @@
-// Cache-blocked packed-panel matmul kernels (see kernels.h for the
-// contract, docs/PERF.md for the design).
+// Cache-blocked packed-panel matmul kernels and the stride-walking permute
+// copy (see kernels.h for the contract, docs/PERF.md for the design).
 //
 // Structure, outermost to innermost (the GotoBLAS/BLIS decomposition):
 //
@@ -416,6 +416,72 @@ void mm_tn_batched(const float* a, const float* b, float* c, Index batch,
   });
 }
 
+// ----- shape kernels -----
+
+namespace {
+
+/// Minimum floats per parallel chunk of a copy: ops.cc's kEwGrain, so a
+/// trunk-size permute (16K floats) runs inline and a fused-batch one forks.
+constexpr Index kCopyGrain = Index{1} << 15;
+
+}  // namespace
+
+void permute(const float* in, float* out, const Shape& in_shape,
+             const std::vector<int>& dims) {
+  const std::size_t nd = dims.size();
+  if (nd == 0) {  // a scalar holds one element
+    out[0] = in[0];
+    return;
+  }
+  const Index total = numel_of(in_shape);
+  if (total == 0) return;
+
+  // extent[i] / step[i]: the size of output axis i, and how far one step
+  // along it moves in the input.
+  std::vector<Index> in_stride(nd, 1);
+  for (std::size_t i = nd - 1; i > 0; --i) {
+    in_stride[i - 1] = in_stride[i] * in_shape[i];
+  }
+  std::vector<Index> extent(nd);
+  std::vector<Index> step(nd);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const auto d = static_cast<std::size_t>(dims[i]);
+    extent[i] = in_shape[d];
+    step[i] = in_stride[d];
+  }
+  const std::size_t outer = nd - 1;  // axes the odometer walks
+  const Index inner = extent[outer];
+  const Index inner_step = step[outer];
+
+  util::parallel_for(0, total / inner, std::max<Index>(1, kCopyGrain / inner),
+                     [&](Index r0, Index r1) {
+    // Odometer over the outer output axes, set to row r0.
+    std::vector<Index> coord(outer, 0);
+    Index src = 0;
+    Index rem = r0;
+    for (std::size_t i = outer; i-- > 0;) {
+      coord[i] = rem % extent[i];
+      rem /= extent[i];
+      src += coord[i] * step[i];
+    }
+    float* dst = out + r0 * inner;
+    for (Index r = r0; r < r1; ++r, dst += inner) {
+      const float* row = in + src;
+      if (inner_step == 1) {
+        std::memcpy(dst, row, sizeof(float) * static_cast<std::size_t>(inner));
+      } else {
+        for (Index j = 0; j < inner; ++j) dst[j] = row[j * inner_step];
+      }
+      for (std::size_t i = outer; i-- > 0;) {  // advance to the next row
+        src += step[i];
+        if (++coord[i] < extent[i]) break;
+        src -= coord[i] * step[i];
+        coord[i] = 0;
+      }
+    }
+  });
+}
+
 // ----- serial references -----
 
 MENOS_SCALAR_ONLY
@@ -451,6 +517,46 @@ void mm_tn_ref(const float* a, const float* b, float* c, Index m, Index k,
       for (Index i = 0; i < m; ++i) acc = madd(acc, a[i * k + p], b[i * n + j]);
       c[p * n + j] = acc;
     }
+  }
+}
+
+void permute_ref(const float* in, float* out, const Shape& in_shape,
+                 const std::vector<int>& dims) {
+  const int nd = static_cast<int>(dims.size());
+  Shape out_shape(static_cast<std::size_t>(nd));
+  for (int i = 0; i < nd; ++i) {
+    out_shape[static_cast<std::size_t>(i)] =
+        in_shape[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])];
+  }
+
+  // Strides (row-major).
+  std::vector<Index> in_strides(static_cast<std::size_t>(nd), 1);
+  std::vector<Index> out_strides(static_cast<std::size_t>(nd), 1);
+  for (int i = nd - 2; i >= 0; --i) {
+    in_strides[static_cast<std::size_t>(i)] =
+        in_strides[static_cast<std::size_t>(i + 1)] *
+        in_shape[static_cast<std::size_t>(i + 1)];
+    out_strides[static_cast<std::size_t>(i)] =
+        out_strides[static_cast<std::size_t>(i + 1)] *
+        out_shape[static_cast<std::size_t>(i + 1)];
+  }
+
+  const Index total = numel_of(in_shape);
+  std::vector<Index> idx(static_cast<std::size_t>(nd), 0);
+  for (Index flat = 0; flat < total; ++flat) {
+    // Decompose flat input index -> coordinates.
+    Index rem = flat;
+    for (int i = 0; i < nd; ++i) {
+      idx[static_cast<std::size_t>(i)] =
+          rem / in_strides[static_cast<std::size_t>(i)];
+      rem %= in_strides[static_cast<std::size_t>(i)];
+    }
+    Index out_flat = 0;
+    for (int i = 0; i < nd; ++i) {
+      out_flat += idx[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])] *
+                  out_strides[static_cast<std::size_t>(i)];
+    }
+    out[out_flat] = in[flat];
   }
 }
 

@@ -1,21 +1,27 @@
-// Raw row-major matmul kernels behind tensor::matmul and its backward.
+// Raw row-major kernels behind the tensor ops: the matmul products behind
+// tensor::matmul and its backward, and the axis-permutation copy behind
+// tensor::permute (the attention head split / merge and transpose_last).
 //
 // The three products are cache-blocked packed-panel loops (GotoBLAS
 // structure): operand panels are staged into contiguous aligned scratch
 // (util/aligned.h), a register-tiled micro-kernel runs the innermost
 // flops, and the output rows are spread over util::ThreadPool.
 //
-// All kernels ACCUMULATE into C (callers zero-fill or reuse running sums).
+// All matmul kernels ACCUMULATE into C (callers zero-fill or reuse running
+// sums).
 //
 // Determinism contract (docs/PERF.md): every output element is produced by
 // exactly one thread, and its floating-point reduction order is fixed —
 // one accumulator advancing in ascending contraction order — so results
 // are bit-identical for ANY thread count and ANY block configuration. The
-// *_ref kernels below are plain serial triple loops with that same
-// per-element order, compiled in the same translation unit (hence with the
-// same FP contraction); tests assert the blocked kernels match them
-// byte-for-byte.
+// *_ref kernels below are plain serial loops with that same per-element
+// order, compiled in the same translation unit (hence with the same FP
+// contraction); tests assert the blocked kernels match them byte-for-byte.
+// The permute kernel does no arithmetic, so its output is the same bytes at
+// any width by construction; permute_ref is its oracle all the same.
 #pragma once
+
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -52,10 +58,20 @@ void mm_nt_batched(const float* a, const float* b, float* c, Index batch,
 void mm_tn_batched(const float* a, const float* b, float* c, Index batch,
                    Index m, Index k, Index n);
 
+// ----- shape kernels -----
+
+/// out = in with its axes permuted: output axis i is input axis dims[i].
+/// `in_shape` is the input's shape (rank 0 allowed), `dims` a permutation
+/// of [0, rank). Walks the output in row-major order; each innermost row is
+/// one memcpy when it is contiguous in the input, a strided gather
+/// otherwise. Rows are spread over util::ThreadPool.
+void permute(const float* in, float* out, const Shape& in_shape,
+             const std::vector<int>& dims);
+
 // ----- serial reference kernels -----
 //
-// The bit-identity oracles: straight triple loops, no blocking, no
-// threading, same fixed per-element reduction order as the kernels above.
+// The bit-identity oracles: straight loops, no blocking, no threading,
+// same fixed per-element reduction order as the kernels above.
 
 void mm_ref(const float* a, const float* b, float* c, Index m, Index k,
             Index n);
@@ -63,6 +79,9 @@ void mm_nt_ref(const float* a, const float* b, float* c, Index m, Index n,
                Index k);
 void mm_tn_ref(const float* a, const float* b, float* c, Index m, Index k,
                Index n);
+/// Per element: decompose the flat input index by division, then scatter.
+void permute_ref(const float* in, float* out, const Shape& in_shape,
+                 const std::vector<int>& dims);
 
 // ----- cache-blocking configuration -----
 

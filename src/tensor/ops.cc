@@ -457,46 +457,12 @@ namespace {
 
 /// Raw permutation copy: out[perm(index)] = in[index].
 Tensor permute_copy(const Tensor& a, const std::vector<int>& dims) {
-  const Shape& in_shape = a.shape();
-  const int nd = a.ndim();
-  Shape out_shape(static_cast<std::size_t>(nd));
-  for (int i = 0; i < nd; ++i) {
-    out_shape[static_cast<std::size_t>(i)] =
-        in_shape[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])];
+  Shape out_shape(dims.size());
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    out_shape[i] = a.shape()[static_cast<std::size_t>(dims[i])];
   }
-  Tensor out = Tensor::empty(out_shape, a.device());
-
-  // Strides (row-major).
-  std::vector<Index> in_strides(static_cast<std::size_t>(nd), 1);
-  std::vector<Index> out_strides(static_cast<std::size_t>(nd), 1);
-  for (int i = nd - 2; i >= 0; --i) {
-    in_strides[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(i + 1)] *
-        in_shape[static_cast<std::size_t>(i + 1)];
-    out_strides[static_cast<std::size_t>(i)] =
-        out_strides[static_cast<std::size_t>(i + 1)] *
-        out_shape[static_cast<std::size_t>(i + 1)];
-  }
-
-  const float* pin = a.data();
-  float* pout = out.data();
-  const Index total = a.numel();
-  std::vector<Index> idx(static_cast<std::size_t>(nd), 0);
-  for (Index flat = 0; flat < total; ++flat) {
-    // Decompose flat input index -> coordinates.
-    Index rem = flat;
-    for (int i = 0; i < nd; ++i) {
-      idx[static_cast<std::size_t>(i)] =
-          rem / in_strides[static_cast<std::size_t>(i)];
-      rem %= in_strides[static_cast<std::size_t>(i)];
-    }
-    Index out_flat = 0;
-    for (int i = 0; i < nd; ++i) {
-      out_flat += idx[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])] *
-                  out_strides[static_cast<std::size_t>(i)];
-    }
-    pout[out_flat] = pin[flat];
-  }
+  Tensor out = Tensor::empty(std::move(out_shape), a.device());
+  kernels::permute(a.data(), out.data(), a.shape(), dims);
   return out;
 }
 

@@ -1,9 +1,11 @@
 // The packed-panel matmul kernels' determinism contract: blocked output ==
 // serial reference, BIT-identical, for every block configuration, thread
-// count, and awkward shape — plus the fused elementwise ops' equivalence
+// count, and awkward shape; the permute copy == its per-element reference
+// for every rank and width — plus the fused elementwise ops' equivalence
 // to their compositions and the fastmath accuracy bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -201,6 +203,91 @@ TEST(KernelBitIdentity, BatchedTransposedFormsMatchPerMatrixCalls) {
     ASSERT_EQ(
         std::memcmp(ctn.data(), ref_tn.data(), ctn.size() * sizeof(float)), 0)
         << "mm_tn_batched width=" << width;
+  }
+}
+
+// ----- permute: stride-walking copy == per-element reference -----
+
+/// permute() output vs permute_ref(), byte for byte, at pool widths
+/// 1/2/4/8. Outputs start from a sentinel fill with one spare element past
+/// the end, so a skipped element or an overrun shows (and a zero-size
+/// tensor still compares real buffers).
+void expect_permute_matches_ref(const tensor::Shape& shape,
+                                const std::vector<int>& dims) {
+  const auto n = static_cast<std::size_t>(tensor::numel_of(shape));
+  const auto in = random_vec(n + 1, 71);
+  std::vector<float> ref(n + 1, -7.0f);
+  tensor::kernels::permute_ref(in.data(), ref.data(), shape, dims);
+  for (int width : {1, 2, 4, 8}) {
+    ThreadPool::instance().set_num_threads(width);
+    std::vector<float> out(n + 1, -7.0f);
+    tensor::kernels::permute(in.data(), out.data(), shape, dims);
+    ASSERT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)),
+              0)
+        << "permute " << tensor::shape_to_string(shape) << " by "
+        << tensor::shape_to_string(tensor::Shape(dims.begin(), dims.end()))
+        << " diverges at width " << width;
+  }
+}
+
+TEST(KernelBitIdentity, PermuteMatchesReferenceForAllRanksAndWidths) {
+  KernelGuard guard;
+  // Identity permutations, rank 0 (a scalar) through rank 5.
+  const tensor::Shape by_rank[] = {
+      {}, {7}, {3, 5}, {2, 3, 4}, {2, 3, 4, 5}, {2, 3, 1, 4, 3}};
+  for (const tensor::Shape& shape : by_rank) {
+    std::vector<int> dims(shape.size());
+    for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = static_cast<int>(i);
+    expect_permute_matches_ref(shape, dims);
+  }
+
+  // Every rank-4 permutation: memcpy rows where the last axis stays last,
+  // strided gathers otherwise.
+  std::vector<int> dims4 = {0, 1, 2, 3};
+  int count = 0;
+  do {
+    expect_permute_matches_ref({2, 3, 4, 5}, dims4);
+    ++count;
+  } while (std::next_permutation(dims4.begin(), dims4.end()));
+  EXPECT_EQ(count, 24);
+
+  // Other ranks, zero-size axes (no element is touched) and size-1 axes.
+  expect_permute_matches_ref({3, 5}, {1, 0});
+  expect_permute_matches_ref({2, 3, 4}, {0, 2, 1});
+  expect_permute_matches_ref({2, 3, 1, 4, 3}, {4, 0, 3, 1, 2});
+  expect_permute_matches_ref({0}, {0});
+  expect_permute_matches_ref({3, 0, 4}, {2, 0, 1});
+  expect_permute_matches_ref({2, 3, 0}, {0, 2, 1});
+  expect_permute_matches_ref({1, 5, 1, 3}, {2, 0, 3, 1});
+  expect_permute_matches_ref({4, 1}, {1, 0});
+  expect_permute_matches_ref({1, 1, 1}, {2, 1, 0});
+
+  // Larger than one copy grain (2^15 floats), so widths > 1 fork: the
+  // fused-batch head split, a transpose_last gather, and rows each longer
+  // than the grain.
+  expect_permute_matches_ref({128, 32, 4, 32}, {0, 2, 1, 3});
+  expect_permute_matches_ref({40, 32, 32}, {0, 2, 1});
+  expect_permute_matches_ref({3, 40000}, {0, 1});
+  expect_permute_matches_ref({2, 40000}, {1, 0});
+
+  // A permute followed by its inverse gives back the original bytes.
+  const tensor::Shape shape = {16, 32, 4, 32};
+  const std::vector<int> dims = {2, 0, 3, 1};
+  tensor::Shape permuted(shape.size());
+  std::vector<int> inverse(dims.size());
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    permuted[i] = shape[static_cast<std::size_t>(dims[i])];
+    inverse[static_cast<std::size_t>(dims[i])] = static_cast<int>(i);
+  }
+  const auto n = static_cast<std::size_t>(tensor::numel_of(shape));
+  const auto in = random_vec(n, 73);
+  for (int width : {1, 2, 4, 8}) {
+    ThreadPool::instance().set_num_threads(width);
+    std::vector<float> mid(n), back(n);
+    tensor::kernels::permute(in.data(), mid.data(), shape, dims);
+    tensor::kernels::permute(mid.data(), back.data(), permuted, inverse);
+    ASSERT_EQ(std::memcmp(back.data(), in.data(), n * sizeof(float)), 0)
+        << "width " << width;
   }
 }
 
