@@ -8,8 +8,8 @@
 // concurrency and every trunk pass walks the blocks for one client;
 // under CoalescedBatch the same queue coalesces into fused passes of up
 // to 16 clients, so the trunk's per-pass fixed costs — tape
-// construction, dispatch, panel packing, step-graph bookkeeping — are
-// paid once per GROUP. The speedup column is the headline.
+// construction, dispatch, panel packing — are paid once per GROUP. The
+// speedup column is the headline.
 //
 // Emits BENCH_batching.json (or argv[1]). With `--check-floor <x>` the
 // process exits 1 if the speedup at the LARGEST client count falls below

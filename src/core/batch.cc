@@ -87,9 +87,6 @@ BatchCoordinator::BatchingStats BatchCoordinator::stats() const {
   BatchingStats s;
   s.groups = groups_.load();
   s.members = members_.load();
-  s.captures = captures_.load();
-  s.replays = replays_.load();
-  s.eager = eager_.load();
   return s;
 }
 
@@ -179,18 +176,9 @@ void BatchCoordinator::compute_group(BatchGroup& group,
   }
 
   Trunk* trunk = nullptr;
-  GraphSlot* graph_slot = nullptr;
   {
     util::MutexLock lock(mutex_);
     trunk = &ensure_trunk_locked(lead);
-    if (!forward) {
-      std::unique_ptr<GraphSlot>& slot = graphs_[{lead.batch_key, rows}];
-      if (slot == nullptr) slot = std::make_unique<GraphSlot>();
-      if (!slot->in_use) {
-        slot->in_use = true;
-        graph_slot = slot.get();
-      }
-    }
   }
 
   const auto pack_rows = [&](float* dst) {
@@ -228,76 +216,32 @@ void BatchCoordinator::compute_group(BatchGroup& group,
     pack_rows(x.data());
     Tensor y = trunk->section->forward(x);
     unpack_rows(y);
-    eager_.fetch_add(1);
   } else {
-    try {
-      Tensor entry;
-      Tensor y;
-      if (graph_slot != nullptr && graph_slot->ready) {
-        // Replay: refill the captured entry leaf in place. Replay
-        // dispatches through the public ops, so autograd re-attaches
-        // exactly as the eager pass would (see tensor/graph.h).
-        entry = graph_slot->entry;
-        pack_rows(entry.data());
-        entry.zero_grad();
-        y = graph_slot->graph.replay({});
-        replays_.fetch_add(1);
-      } else {
-        entry = Tensor::empty({rows, seq, dim}, *trunk->entry,
-                              /*requires_grad=*/true);
-        pack_rows(entry.data());
-        if (graph_slot != nullptr) {
-          y = graph_slot->graph.capture(
-              {}, [&] { return trunk->section->forward(entry); });
-          if (graph_slot->graph.ready()) {
-            graph_slot->ready = true;
-            graph_slot->entry = entry;
-            captures_.fetch_add(1);
-          } else {
-            eager_.fetch_add(1);
-          }
-        } else {
-          y = trunk->section->forward(entry);
-          eager_.fetch_add(1);
-        }
-      }
-      Tensor g;
-      {
-        tensor::NoGradGuard no_grad;
-        g = Tensor::empty(y.shape(), y.device());
-      }
-      {
-        const std::size_t row_numel =
-            static_cast<std::size_t>(y.dim(1) * y.dim(2));
-        float* dst = g.data();
-        for (std::size_t slot : joined) {
-          const BatchContribution& c = group.contributions[slot];
-          const std::size_t want =
-              static_cast<std::size_t>(c.activation.shape[0]) * row_numel;
-          MENOS_CHECK_MSG(c.grad.data.size() == want,
-                          "gradient size does not match server activations");
-          std::memcpy(dst, c.grad.data.data(), want * sizeof(float));
-          dst += want;
-        }
-      }
-      tensor::backward(y, g);
-      Tensor g_s = entry.grad();
-      MENOS_CHECK_MSG(g_s.defined(), "no gradient reached the cut point");
-      unpack_rows(g_s);
-      // Drop the step's tensors promptly; a cached entry keeps only its
-      // leaf storage (no grad, no tape) between groups.
-      entry.zero_grad();
-    } catch (...) {
-      if (graph_slot != nullptr) {
-        util::MutexLock lock(mutex_);
-        graph_slot->in_use = false;
-      }
-      throw;
+    Tensor entry = Tensor::empty({rows, seq, dim}, *trunk->entry,
+                                 /*requires_grad=*/true);
+    pack_rows(entry.data());
+    Tensor y = trunk->section->forward(entry);
+    Tensor g;
+    {
+      tensor::NoGradGuard no_grad;
+      g = Tensor::empty(y.shape(), y.device());
     }
-    if (graph_slot != nullptr) {
-      util::MutexLock lock(mutex_);
-      graph_slot->in_use = false;
+    const std::size_t row_numel =
+        static_cast<std::size_t>(y.dim(1) * y.dim(2));
+    float* dst = g.data();
+    for (std::size_t slot : joined) {
+      const BatchContribution& c = group.contributions[slot];
+      const std::size_t want =
+          static_cast<std::size_t>(c.activation.shape[0]) * row_numel;
+      MENOS_CHECK_MSG(c.grad.data.size() == want,
+                      "gradient size does not match server activations");
+      std::memcpy(dst, c.grad.data.data(), want * sizeof(float));
+      dst += want;
     }
+    tensor::backward(y, g);
+    Tensor g_s = entry.grad();
+    MENOS_CHECK_MSG(g_s.defined(), "no gradient reached the cut point");
+    unpack_rows(g_s);
   }
   const double compute_s = compute_sw.elapsed_seconds();
   for (std::size_t slot : joined) {

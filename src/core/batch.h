@@ -17,14 +17,9 @@
 // countdown, so a group can never stall on a dead session). Each member
 // copies its contribution OUT of its strand state; the last one to deliver
 // runs the fused pass inline on its own strand. The coordinator's mutex
-// only guards the trunk/graph caches and is never held across compute or
-// scheduler calls.
-//
-// The backward fused pass reuses a captured tensor::graph::StepGraph per
-// (batch_key, total rows): the stacked activation is an entry leaf whose
-// storage is refilled in place, so replay re-attaches autograd exactly as
-// the eager pass would. A slot in use by a concurrent group falls back to
-// eager execution — same bits, no serialization.
+// only guards the trunk cache and is never held across compute or
+// scheduler calls. Both fused passes run eagerly through the public ops, so
+// concurrent groups on one trunk never serialize.
 #pragma once
 
 #include <atomic>
@@ -32,13 +27,11 @@
 #include <memory>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/runtime.h"
 #include "net/message.h"
 #include "sched/scheduler.h"
-#include "tensor/graph.h"
 #include "tensor/tensor.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -111,9 +104,6 @@ class BatchCoordinator {
   struct BatchingStats {
     std::uint64_t groups = 0;    ///< fused passes run
     std::uint64_t members = 0;   ///< member slices served by fused passes
-    std::uint64_t captures = 0;  ///< backward StepGraph captures
-    std::uint64_t replays = 0;   ///< backward StepGraph replays
-    std::uint64_t eager = 0;     ///< fused passes run eagerly (no graph)
   };
 
   /// `store` hosts the shared frozen parameters the per-key trunks are
@@ -146,16 +136,6 @@ class BatchCoordinator {
     gpusim::Device* entry = nullptr;
   };
 
-  /// Captured backward step for one (batch_key, stacked rows) shape. The
-  /// entry leaf's storage is refilled in place before each replay;
-  /// `in_use` keeps two concurrent groups off the same entry tensor.
-  struct GraphSlot {
-    tensor::graph::StepGraph graph;
-    tensor::Tensor entry;
-    bool ready = false;
-    bool in_use = false;
-  };
-
   Trunk& ensure_trunk_locked(const BatchContribution& lead)
       MENOS_REQUIRES(mutex_);
   void run_group(BatchGroup& group);
@@ -168,15 +148,9 @@ class BatchCoordinator {
 
   mutable util::Mutex mutex_{"core.batch", 26};
   std::map<std::uint64_t, Trunk> trunks_ MENOS_GUARDED_BY(mutex_);
-  std::map<std::pair<std::uint64_t, tensor::Index>,
-           std::unique_ptr<GraphSlot>>
-      graphs_ MENOS_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> groups_{0};
   std::atomic<std::uint64_t> members_{0};
-  std::atomic<std::uint64_t> captures_{0};
-  std::atomic<std::uint64_t> replays_{0};
-  std::atomic<std::uint64_t> eager_{0};
 };
 
 }  // namespace menos::core

@@ -1,19 +1,17 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
+
+#include "util/thread_pool.h"
 
 namespace menos::core {
 
 int Executor::resolve_width(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("MENOS_EXECUTOR_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return std::min(8, std::max(1, static_cast<int>(hw)));
+  return util::env_width("MENOS_EXECUTOR_THREADS",
+                         std::min(8, std::max(1, static_cast<int>(hw))));
 }
 
 Executor::Executor(int configured_width)

@@ -85,8 +85,8 @@ class Device {
   std::size_t available() const;
 
   /// The device this one decorates, or nullptr for a terminal device.
-  /// Lets chain walkers (StepGraph::warm_allocator, the decorator
-  /// lock-class helpers below) see through audit/pooling layers.
+  /// Lets the decorator lock-class helpers below see through
+  /// audit/pooling layers.
   virtual const Device* unwrap() const noexcept { return nullptr; }
 };
 

@@ -256,22 +256,6 @@ CacheStats CachingAllocator::cache_stats() const {
   return cache_;
 }
 
-void CachingAllocator::warm(const std::vector<std::size_t>& sizes) {
-  // Run the plan through the normal allocate path so segments grow exactly
-  // as a real step would, then free everything back into the pool.
-  std::vector<std::pair<void*, std::size_t>> held;
-  held.reserve(sizes.size());
-  for (std::size_t bytes : sizes) {
-    if (bytes == 0) continue;
-    try {
-      held.emplace_back(allocate(bytes), bytes);
-    } catch (const OutOfMemory&) {
-      break;  // partial warm-up is fine; replay will grow the rest
-    }
-  }
-  for (auto& [ptr, bytes] : held) deallocate(ptr, bytes);
-}
-
 std::unique_ptr<gpusim::Device> make_caching_device(
     std::unique_ptr<gpusim::Device> inner) {
   return std::make_unique<CachingAllocator>(std::move(inner));

@@ -88,14 +88,6 @@ class CachingAllocator final : public gpusim::Device {
 
   CacheStats cache_stats() const;
 
-  /// Pre-populate the pool from an allocation plan: allocate every size in
-  /// `sizes` (growing segments as needed), then free them all, leaving the
-  /// blocks cached. A subsequent pass through the same sizes is then all
-  /// pool hits — used by tensor::graph::StepGraph::warm_allocator with a
-  /// captured step's activation plan. Best-effort: stops growing at the
-  /// first inner OutOfMemory (the pool simply stays partially warmed).
-  void warm(const std::vector<std::size_t>& sizes);
-
   /// Bucket-rounded size for a request (exposed for tests).
   static std::size_t round_size(std::size_t bytes) noexcept;
 

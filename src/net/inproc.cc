@@ -47,8 +47,7 @@ class InprocConnection final : public Connection {
     if (out_->queue.closed()) return false;
     // Wire-size accounting uses the real encoded size so the comm-time
     // model sees exactly what TCP would carry.
-    const std::size_t frame_bytes =
-        frame_message(message).size();
+    const std::size_t frame_bytes = framed_size(message);
     const double delay =
         conditioner_.transfer_seconds(frame_bytes) * conditioner_.time_scale;
     if (delay > 0.0) {

@@ -23,7 +23,7 @@ class ConditionedConnection final : public Connection {
   bool send(const Message& message) override {
     // Wire-size accounting uses the real encoded size so the delay model
     // sees exactly what TCP would carry.
-    const std::size_t frame_bytes = frame_message(message).size();
+    const std::size_t frame_bytes = framed_size(message);
     const double delay = conditioner_->next_delay(send_dir_, frame_bytes);
     const NetworkConditioner& shape = send_dir_ == LinkDir::Up
                                           ? conditioner_->profile().up

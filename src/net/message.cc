@@ -444,6 +444,11 @@ std::vector<std::uint8_t> frame_message(const Message& message) {
   return frame;
 }
 
+std::size_t framed_size(const Message& message) {
+  return kFrameHeaderBytes + encode_message(message).size() +
+         kFrameTrailerBytes;
+}
+
 Message parse_frame(const std::uint8_t* data, std::size_t size) {
   if (size < kFrameHeaderBytes + kFrameTrailerBytes) {
     throw ProtocolError("truncated frame");

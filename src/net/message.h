@@ -211,6 +211,9 @@ Message decode_message(const std::uint8_t* data, std::size_t size);
 /// Full frame: magic, payload length, payload, CRC-32 of the payload.
 std::vector<std::uint8_t> frame_message(const Message& message);
 
+/// frame_message(message).size(), without building the frame or its CRC.
+std::size_t framed_size(const Message& message);
+
 /// Frame constants shared with the TCP reassembly loop.
 inline constexpr std::uint32_t kFrameMagic = 0x4d454e4fu;  // "MENO"
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 8;    // magic + length

@@ -55,8 +55,6 @@ PrefixAdapter::PrefixAdapter(const std::string& name, int prefix_len,
 
 tensor::Tensor PrefixAdapter::forward(const tensor::Tensor& x) {
   MENOS_CHECK_MSG(x.ndim() == 3, "PrefixAdapter expects [B, T, C] input");
-  // tensor::tile_batch is graph-replayable, so prefix-adapter sessions
-  // capture like every other model (tensor/graph.h).
   tensor::Tensor tiled = tensor::tile_batch(prefix_, x.dim(0));
   return tensor::concat_dim1(tiled, x);
 }

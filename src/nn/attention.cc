@@ -76,8 +76,7 @@ tensor::Tensor CausalSelfAttention::forward(const tensor::Tensor& x) {
   v = split_heads(v, n_kv_heads_);
   if (n_kv_heads_ != n_heads_) {
     // Grouped-query expansion: each kv head serves repeat consecutive
-    // query heads. tensor::repeat_heads is graph-replayable, so GQA
-    // models capture like MHA ones.
+    // query heads.
     const int repeat = n_heads_ / n_kv_heads_;
     k = repeat_heads(k, repeat);
     v = repeat_heads(v, repeat);

@@ -416,21 +416,4 @@ tensor::Tensor LocalModel::loss(const std::vector<std::int32_t>& ids,
   return output_->loss(x_s, input_->prefix_len(), targets);
 }
 
-tensor::Tensor LocalModel::loss_stepped(
-    const std::vector<std::int32_t>& ids,
-    const std::vector<std::int32_t>& targets, tensor::Index batch,
-    tensor::Index seq) {
-  const tensor::graph::Feeds feeds{&ids, &targets};
-  if (step_graph_.ready() && step_graph_.accepts(feeds)) {
-    return step_graph_.replay(feeds);
-  }
-  if (!capture_failed_ && tensor::grad_enabled()) {
-    tensor::Tensor out = step_graph_.capture(
-        feeds, [&] { return loss(ids, targets, batch, seq); });
-    if (!step_graph_.ready()) capture_failed_ = true;  // stay eager from now
-    return out;
-  }
-  return loss(ids, targets, batch, seq);
-}
-
 }  // namespace menos::nn

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "nn/attention.h"
-#include "tensor/graph.h"
 
 namespace menos::nn {
 
@@ -196,20 +195,6 @@ class LocalModel final : public Module {
                       const std::vector<std::int32_t>& targets,
                       tensor::Index batch, tensor::Index seq);
 
-  /// Like loss(), but runs through a captured per-step op graph
-  /// (tensor/graph.h): the first call records the step, later calls with
-  /// the same batch/seq replay it with fused elementwise chains. Falls
-  /// back to plain loss() whenever the step cannot be captured (dropout
-  /// active, adapter/GQA ops the graph doesn't know, changed shapes) —
-  /// results are bit-identical to loss() either way.
-  tensor::Tensor loss_stepped(const std::vector<std::int32_t>& ids,
-                              const std::vector<std::int32_t>& targets,
-                              tensor::Index batch, tensor::Index seq);
-
-  /// The captured step graph (un-ready until the first successful
-  /// loss_stepped capture). Exposed for warm-up and cost reporting.
-  tensor::graph::StepGraph& step_graph() noexcept { return step_graph_; }
-
   InputSection& input() noexcept { return *input_; }
   ServerSection& server() noexcept { return *server_; }
   OutputSection& output() noexcept { return *output_; }
@@ -218,8 +203,6 @@ class LocalModel final : public Module {
   std::unique_ptr<InputSection> input_;
   std::unique_ptr<ServerSection> server_;
   std::unique_ptr<OutputSection> output_;
-  tensor::graph::StepGraph step_graph_;
-  bool capture_failed_ = false;
 };
 
 }  // namespace menos::nn

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "tensor/graph.h"
 
 namespace menos::quant {
 namespace {
@@ -270,13 +269,6 @@ tensor::Tensor quantized_matmul(const tensor::Tensor& x,
           return std::vector<Tensor>{dx};
         });
   }
-  // Step-graph capture: the bespoke tape node above is invisible to the
-  // generic replay switch, so record a custom node whose closure
-  // re-dispatches this function — replay re-runs the attach above and the
-  // result is bit-identical to eager (tests/graph_test.cc).
-  tensor::graph::detail::note_custom(
-      "quantized_matmul", {x}, y,
-      [w](const std::vector<Tensor>& ins) { return quantized_matmul(ins[0], w); });
   return y;
 }
 

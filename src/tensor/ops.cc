@@ -5,15 +5,11 @@
 #include <cstring>
 #include <utility>
 
-#include "tensor/graph.h"
 #include "tensor/kernels.h"
 #include "util/fastmath.h"
 #include "util/thread_pool.h"
 
 namespace menos::tensor {
-
-namespace gd = graph::detail;
-using graph::OpKind;
 
 namespace {
 
@@ -55,11 +51,8 @@ Index rows_grain(Index row_len, Index grain = kEwGrain) {
 
 // ----- shared elementwise / backward helpers -----
 //
-// Factored out so each fused op (bias_gelu, fused_add_layer_norm) and the
-// ops it replaces run literally the same code in forward and backward —
-// bit-identity between the fused and composed forms is by construction,
-// not by tolerance. The raw matmul loops live in tensor/kernels.cc (the
-// cache-blocked packed-panel implementation).
+// The raw matmul loops live in tensor/kernels.cc (the cache-blocked
+// packed-panel implementation).
 
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 constexpr float kGeluA = 0.044715f;
@@ -94,9 +87,8 @@ Tensor bias_grad_columns(const Tensor& g, Index rows, Index n) {
   return db;
 }
 
-/// The layer_norm backward body, shared by layer_norm and
-/// fused_add_layer_norm: {dx, dgamma, dbeta} from the saved normalized
-/// activations and per-row 1/sigma.
+/// The layer_norm backward body: {dx, dgamma, dbeta} from the saved
+/// normalized activations and per-row 1/sigma.
 std::vector<Tensor> layer_norm_backward(const Tensor& xhat,
                                         const Tensor& inv_sigma,
                                         const Tensor& gamma_saved, Index n,
@@ -169,7 +161,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
       return std::vector<Tensor>{g, g};
     });
   }
-  gd::note(OpKind::Add, {a, b}, out);
   return out;
 }
 
@@ -190,7 +181,6 @@ Tensor sub(const Tensor& a, const Tensor& b) {
       return std::vector<Tensor>{g, scale(g, -1.0f)};
     });
   }
-  gd::note(OpKind::Sub, {a, b}, out);
   return out;
 }
 
@@ -212,7 +202,6 @@ Tensor mul(const Tensor& a, const Tensor& b) {
       return std::vector<Tensor>{mul(g, sb), mul(g, sa)};
     });
   }
-  gd::note(OpKind::Mul, {a, b}, out);
   return out;
 }
 
@@ -230,7 +219,6 @@ Tensor scale(const Tensor& a, float s) {
       return std::vector<Tensor>{scale(g, s)};
     });
   }
-  gd::note(OpKind::Scale, {a}, out, {.f0 = s});
   return out;
 }
 
@@ -260,7 +248,6 @@ Tensor add_bias(const Tensor& x, const Tensor& bias) {
       return std::vector<Tensor>{g, bias_grad_columns(g, rows, n)};
     });
   }
-  gd::note(OpKind::AddBias, {x, bias}, out);
   return out;
 }
 
@@ -287,7 +274,6 @@ Tensor relu(const Tensor& a) {
       return std::vector<Tensor>{dx};
     });
   }
-  gd::note(OpKind::Relu, {a}, out);
   return out;
 }
 
@@ -317,58 +303,6 @@ Tensor gelu(const Tensor& a) {
       return std::vector<Tensor>{dx};
     });
   }
-  gd::note(OpKind::Gelu, {a}, out);
-  return out;
-}
-
-Tensor bias_gelu(const Tensor& x, const Tensor& bias) {
-  check_defined(x, "bias_gelu");
-  check_defined(bias, "bias_gelu");
-  MENOS_CHECK_MSG(bias.ndim() == 1, "bias_gelu: bias must be 1-D, got "
-                                        << shape_to_string(bias.shape()));
-  const Index n = bias.dim(0);
-  MENOS_CHECK_MSG(x.ndim() >= 1 && x.shape().back() == n,
-                  "bias_gelu: last dim of x " << shape_to_string(x.shape())
-                                              << " != bias size " << n);
-  // One pass computes both the pre-activation t = x + bias (saved for
-  // backward, exactly as the composed tape saves it) and gelu(t). The
-  // float round-trip of t through memory is lossless, so using v directly
-  // matches the composition bit-for-bit.
-  Tensor t = Tensor::empty(x.shape(), x.device());
-  Tensor out = Tensor::empty(x.shape(), x.device());
-  const Index rows = x.numel() / n;
-  const float* px = x.data();
-  const float* pb = bias.data();
-  float* pt = t.data();
-  float* po = out.data();
-  util::parallel_for(0, rows, rows_grain(n), [&](Index lo, Index hi) {
-    for (Index r = lo; r < hi; ++r) {
-      const float* xr = px + r * n;
-      float* tr = pt + r * n;
-      float* orow = po + r * n;
-      for (Index j = 0; j < n; ++j) {
-        const float v = xr[j] + pb[j];
-        tr[j] = v;
-        orow[j] = gelu_fwd(v);
-      }
-    }
-  });
-  if (should_record({x, bias})) {
-    attach_node(out, "bias_gelu", {x, bias}, [t, n, rows](const Tensor& g) {
-      // dt = g * gelu'(t); dx = dt and db = column sums of dt — the same
-      // two steps (same loops) the composed gelu+add_bias tape runs.
-      Tensor dt = Tensor::empty(g.shape(), g.device());
-      const float* ptt = t.data();
-      const float* pg = g.data();
-      float* pd = dt.data();
-      const Index m = g.numel();
-      util::parallel_for(0, m, kMathGrain, [&](Index lo, Index hi) {
-        for (Index i = lo; i < hi; ++i) pd[i] = pg[i] * gelu_grad(ptt[i]);
-      });
-      return std::vector<Tensor>{dt, bias_grad_columns(dt, rows, n)};
-    });
-  }
-  gd::note(OpKind::BiasGelu, {x, bias}, out);
   return out;
 }
 
@@ -402,7 +336,6 @@ Tensor silu(const Tensor& a) {
       return std::vector<Tensor>{dx};
     });
   }
-  gd::note(OpKind::Silu, {a}, out);
   return out;
 }
 
@@ -410,9 +343,8 @@ Tensor dropout(const Tensor& a, float p, util::Rng& rng) {
   check_defined(a, "dropout");
   MENOS_CHECK_MSG(p >= 0.0f && p < 1.0f,
                   "dropout probability must be in [0, 1), got " << p);
-  // p == 0 is the identity and consumes no rng state: return before the
-  // note_unsupported below so disabled dropout never poisons a StepGraph
-  // capture (tests/graph_test.cc pins this).
+  // p == 0 is the identity and consumes no rng state (tests/extras_test.cc
+  // pins this).
   if (p == 0.0f) return a;
   const float keep_scale = 1.0f / (1.0f - p);
   Tensor out = Tensor::empty(a.shape(), a.device());
@@ -432,9 +364,6 @@ Tensor dropout(const Tensor& a, float p, util::Rng& rng) {
       return std::vector<Tensor>{mul(g, mask)};
     });
   }
-  // The mask consumes rng state a replay could not reproduce; a step with
-  // active dropout stays eager.
-  gd::note_unsupported("dropout");
   return out;
 }
 
@@ -449,7 +378,6 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
       return std::vector<Tensor>{view_as(g, original)};
     });
   }
-  gd::note(OpKind::Reshape, {a}, out, {.shape = &out.shape()});
   return out;
 }
 
@@ -489,7 +417,6 @@ Tensor permute(const Tensor& a, const std::vector<int>& dims) {
       return std::vector<Tensor>{permute_copy(g, inverse)};
     });
   }
-  gd::note(OpKind::Permute, {a}, out, {.dims = &dims});
   return out;
 }
 
@@ -537,7 +464,6 @@ Tensor concat_dim1(const Tensor& a, const Tensor& b) {
       return std::vector<Tensor>{ga, gb};
     });
   }
-  gd::note(OpKind::ConcatDim1, {a, b}, out);
   return out;
 }
 
@@ -566,7 +492,6 @@ Tensor slice_dim1(const Tensor& a, Index start, Index len) {
       return std::vector<Tensor>{gx};
     });
   }
-  gd::note(OpKind::SliceDim1, {a}, out, {.a = start, .b = len});
   return out;
 }
 
@@ -596,7 +521,6 @@ Tensor tile_batch(const Tensor& prefix, Index batch) {
                   return std::vector<Tensor>{dp};
                 });
   }
-  gd::note(OpKind::TileBatch, {prefix}, out, {.a = batch});
   return out;
 }
 
@@ -642,8 +566,6 @@ Tensor repeat_heads(const Tensor& t, int repeat) {
                   return std::vector<Tensor>{dt};
                 });
   }
-  gd::note(OpKind::RepeatHeads, {t}, out,
-           {.a = static_cast<Index>(repeat)});
   return out;
 }
 
@@ -718,7 +640,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                   return std::vector<Tensor>{da, db};
                 });
   }
-  gd::note(OpKind::Matmul, {a, b}, out);
   return out;
 }
 
@@ -738,7 +659,6 @@ Tensor sum(const Tensor& a) {
           Tensor::full(in_shape, g.item(), g.device())};
     });
   }
-  gd::note(OpKind::Sum, {a}, out);
   return out;
 }
 
@@ -804,7 +724,6 @@ Tensor softmax_lastdim(const Tensor& a) {
       return softmax_backward(saved_y, g, n);
     });
   }
-  gd::note(OpKind::Softmax, {a}, out);
   return out;
 }
 
@@ -848,7 +767,6 @@ Tensor causal_masked_softmax(const Tensor& scores) {
                   return softmax_backward(saved_y, g, t_cols);
                 });
   }
-  gd::note(OpKind::CausalSoftmax, {scores}, out);
   return out;
 }
 
@@ -904,85 +822,7 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   return layer_norm_backward(xhat, inv_sigma, sg, n, rows, g);
                 });
   }
-  gd::note(OpKind::LayerNorm, {x, gamma, beta}, out, {.f0 = eps});
   return out;
-}
-
-std::pair<Tensor, Tensor> fused_add_layer_norm(const Tensor& a,
-                                               const Tensor& b,
-                                               const Tensor& gamma,
-                                               const Tensor& beta, float eps) {
-  check_defined(a, "fused_add_layer_norm");
-  check_defined(b, "fused_add_layer_norm");
-  check_defined(gamma, "fused_add_layer_norm");
-  check_defined(beta, "fused_add_layer_norm");
-  check_same_shape(a, b, "fused_add_layer_norm");
-  MENOS_CHECK_MSG(gamma.ndim() == 1 && beta.ndim() == 1,
-                  "fused_add_layer_norm: gamma/beta must be 1-D");
-  const Index n = a.shape().back();
-  MENOS_CHECK_MSG(gamma.dim(0) == n && beta.dim(0) == n,
-                  "fused_add_layer_norm: param size mismatch");
-  const Index rows = a.numel() / n;
-  Tensor h = Tensor::empty(a.shape(), a.device());
-  Tensor out = Tensor::empty(a.shape(), a.device());
-  Tensor xhat = Tensor::empty(a.shape(), a.device());
-  Tensor inv_sigma = Tensor::empty({rows}, a.device());
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const float* pgm = gamma.data();
-  const float* pbt = beta.data();
-  float* psum = h.data();
-  float* po = out.data();
-  float* ph = xhat.data();
-  float* pis = inv_sigma.data();
-  // One pass per row: the residual sum h (which stays available for later
-  // consumers) immediately feeds the normalization while it is still hot.
-  // Per-element arithmetic is identical to add() followed by layer_norm().
-  util::parallel_for(0, rows, rows_grain(n), [&](Index lo, Index hi) {
-    for (Index r = lo; r < hi; ++r) {
-      const float* ar = pa + r * n;
-      const float* br = pb + r * n;
-      float* sr = psum + r * n;
-      for (Index j = 0; j < n; ++j) sr[j] = ar[j] + br[j];
-      float mu = 0.0f;
-      for (Index j = 0; j < n; ++j) mu += sr[j];
-      mu /= static_cast<float>(n);
-      float var = 0.0f;
-      for (Index j = 0; j < n; ++j) {
-        const float d = sr[j] - mu;
-        var += d * d;
-      }
-      var /= static_cast<float>(n);
-      const float is = 1.0f / std::sqrt(var + eps);
-      pis[r] = is;
-      float* hr = ph + r * n;
-      float* orow = po + r * n;
-      for (Index j = 0; j < n; ++j) {
-        hr[j] = (sr[j] - mu) * is;
-        orow[j] = hr[j] * pgm[j] + pbt[j];
-      }
-    }
-  });
-
-  // The tape is the composition's tape: an "add" node on h and a
-  // "layer_norm" node on out (with h as input), running the same backward
-  // lambdas — so gradients are bit-identical to the unfused pair.
-  if (should_record({a, b})) {
-    attach_node(h, "add", {a, b}, [](const Tensor& g) {
-      return std::vector<Tensor>{g, g};
-    });
-  }
-  if (should_record({h, gamma, beta})) {
-    Tensor sg = gamma.detach();
-    attach_node(out, "layer_norm", {h, gamma, beta},
-                [xhat, inv_sigma, sg, n, rows](const Tensor& g) {
-                  return layer_norm_backward(xhat, inv_sigma, sg, n, rows, g);
-                });
-  }
-  gd::note2(OpKind::FusedAddLayerNorm, {a, b, gamma, beta}, h, out,
-            {.f0 = eps});
-  return {h, out};
 }
 
 Tensor rms_norm(const Tensor& x, const Tensor& gamma, float eps) {
@@ -1061,7 +901,6 @@ Tensor rms_norm(const Tensor& x, const Tensor& gamma, float eps) {
                   return std::vector<Tensor>{dx, dgamma};
                 });
   }
-  gd::note(OpKind::RmsNorm, {x, gamma}, out, {.f0 = eps});
   return out;
 }
 
@@ -1108,8 +947,6 @@ Tensor embedding(const Tensor& weight, const std::vector<std::int32_t>& ids,
                   return std::vector<Tensor>{dw};
                 });
   }
-  gd::note(OpKind::Embedding, {weight}, out,
-           {.a = batch, .b = seq, .ids = &ids});
   return out;
 }
 
@@ -1196,8 +1033,6 @@ Tensor cross_entropy(const Tensor& logits,
                   return std::vector<Tensor>{dl};
                 });
   }
-  gd::note(OpKind::CrossEntropy, {logits}, out,
-           {.i0 = ignore_index, .ids = &targets});
   return out;
 }
 
@@ -1213,13 +1048,11 @@ Tensor to_device(const Tensor& a, gpusim::Device& device) {
       return std::vector<Tensor>{back};
     });
   }
-  gd::note(OpKind::ToDevice, {a}, out, {.device = &device});
   return out;
 }
 
 std::vector<std::int32_t> argmax_lastdim(const Tensor& a) {
   check_defined(a, "argmax_lastdim");
-  gd::note_unsupported("argmax_lastdim");
   MENOS_CHECK_MSG(a.ndim() >= 1 && a.shape().back() > 0,
                   "argmax needs a non-empty last dimension");
   const Index n = a.shape().back();

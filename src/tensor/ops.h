@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "tensor/autograd.h"
@@ -37,22 +36,6 @@ Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);  ///< tanh approximation (GPT/OPT family)
 Tensor silu(const Tensor& a);  ///< x * sigmoid(x) (Llama family)
 
-/// gelu(x + bias) in one memory pass. Bit-identical to the composition
-/// gelu(add_bias(x, bias)) — forward and backward use the same per-element
-/// formulas and the same column-partitioned bias reduction, so graph
-/// replay may substitute it freely (see tensor/graph.h).
-Tensor bias_gelu(const Tensor& x, const Tensor& bias);
-
-/// {h, y} with h = a + b and y = layer_norm(h, gamma, beta, eps), computed
-/// in one pass over rows. Both results carry the same autograd nodes the
-/// composition would (an "add" on h, a "layer_norm" on y), so gradients
-/// are bit-identical; h stays available for residual consumers.
-std::pair<Tensor, Tensor> fused_add_layer_norm(const Tensor& a,
-                                               const Tensor& b,
-                                               const Tensor& gamma,
-                                               const Tensor& beta,
-                                               float eps = 1e-5f);
-
 /// Inverted dropout: each element survives with probability 1-p and is
 /// scaled by 1/(1-p), so the expectation is preserved; the mask comes from
 /// `rng` (all randomness in Menos is seeded — split and local runs drawing
@@ -80,14 +63,13 @@ Tensor slice_dim1(const Tensor& a, Index start, Index len);
 /// Broadcast a 2-D tensor [P, C] to [batch, P, C] by copying it per batch
 /// row; backward sums the per-row gradients back into [P, C]. Used by the
 /// prefix adapter to prepend one learned prefix to every sequence in a
-/// batch. Graph-replayable (OpKind::TileBatch).
+/// batch.
 Tensor tile_batch(const Tensor& prefix, Index batch);
 
 /// Repeat the head axis of a [B, H, T, D] tensor `repeat` times:
 /// [B, H, T, D] -> [B, H*repeat, T, D], each source head copied into
 /// `repeat` consecutive output heads; backward sums the copies. The GQA
 /// key/value expansion. repeat == 1 returns the input unchanged.
-/// Graph-replayable (OpKind::RepeatHeads).
 Tensor repeat_heads(const Tensor& t, int repeat);
 
 // ----- contractions -----

@@ -26,25 +26,21 @@ thread_local bool t_inside_region = false;
 // per thread so the atomic chunk cursor load-balances uneven bodies.
 constexpr ThreadPool::Index kChunksPerThread = 4;
 
-int env_width() {
-  const char* raw = std::getenv("MENOS_THREADS");
+}  // namespace
+
+int env_width(const char* name, int fallback) {
+  const char* raw = std::getenv(name);
   long parsed = 0;
   if (raw != nullptr && *raw != '\0') {
     char* end = nullptr;
     parsed = std::strtol(raw, &end, 10);
-    if (end == raw || (end != nullptr && *end != '\0') || parsed < 0) {
-      MENOS_CHECK_MSG(false, "MENOS_THREADS must be a non-negative integer, got '"
-                                 << raw << "'");
+    if (end == raw || *end != '\0' || parsed < 0) {
+      MENOS_CHECK_MSG(false, name << " must be a non-negative integer, got '"
+                                  << raw << "'");
     }
   }
-  if (parsed <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    parsed = hw == 0 ? 1 : static_cast<long>(hw);
-  }
-  return static_cast<int>(std::min<long>(parsed, 256));
+  return static_cast<int>(std::min<long>(parsed == 0 ? fallback : parsed, 256));
 }
-
-}  // namespace
 
 /// One fork/join dispatch. Heap-held via shared_ptr so a worker that wakes
 /// late and finds every chunk already claimed can still touch the chunk
@@ -96,7 +92,8 @@ ThreadPool& ThreadPool::instance() {
 }
 
 ThreadPool::ThreadPool() : state_(std::make_unique<State>()) {
-  num_threads_ = env_width();
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  num_threads_ = env_width("MENOS_THREADS", std::max(1, hw));
 }
 
 ThreadPool::~ThreadPool() {

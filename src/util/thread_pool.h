@@ -90,6 +90,12 @@ class ThreadPool {
   std::unique_ptr<State> state_;
 };
 
+/// Pool width from the environment variable `name`: the whole string must
+/// be a non-negative integer; unset, empty or "0" selects `fallback`. The
+/// result is capped at 256. Anything else ("abc", "3x", "-1") throws,
+/// naming `name`.
+int env_width(const char* name, int fallback);
+
 /// Convenience forwarder: menos::util::parallel_for(0, n, grain, body).
 inline void parallel_for(ThreadPool::Index begin, ThreadPool::Index end,
                          ThreadPool::Index grain,

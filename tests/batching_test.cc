@@ -349,9 +349,6 @@ void run_scenario(const Scenario& sc, bool expect_groups) {
     EXPECT_GE(bs.members, 2 * bs.groups);
     EXPECT_EQ(bs.groups, ss.coalesced_groups);
     EXPECT_EQ(bs.members, ss.coalesced_members);
-    // At least one fused backward went through the captured StepGraph
-    // (replay-vs-eager bit-identity itself is pinned in graph_test).
-    EXPECT_GT(bs.captures + bs.replays, 0u);
   } else {
     EXPECT_EQ(bs.groups, 0u) << "incompatible clients must never coalesce";
     EXPECT_EQ(ss.coalesced_groups, 0u);
@@ -383,8 +380,8 @@ TEST(Batching, PrefixAdapterReleaseEarlyBitIdenticalUnderCoalescing) {
 }
 
 TEST(Batching, GroupedQueryAttentionBitIdenticalUnderCoalescing) {
-  // GQA trunk (n_kv_heads < n_heads): the fused backward's StepGraph must
-  // replay repeat_heads correctly for stacked batches.
+  // GQA trunk (n_kv_heads < n_heads): the fused backward must run
+  // repeat_heads correctly for stacked batches.
   run_scenario({bt_llama_gqa(), prefix_adapter(), ServingMode::MenosOnDemand},
                /*expect_groups=*/true);
 }

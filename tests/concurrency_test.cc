@@ -175,6 +175,24 @@ TEST(Concurrency, ExecutorWidthResolution) {
   ::setenv("MENOS_EXECUTOR_THREADS", "5", 1);
   EXPECT_EQ(Executor::resolve_width(0), 5);
   EXPECT_EQ(Executor::resolve_width(2), 2);
+  ::setenv("MENOS_EXECUTOR_THREADS", "0", 1);
+  EXPECT_EQ(Executor::resolve_width(0), ambient);
+  ::setenv("MENOS_EXECUTOR_THREADS", "", 1);
+  EXPECT_EQ(Executor::resolve_width(0), ambient);
+
+  // Anything but a whole non-negative integer is rejected, naming the
+  // variable, rather than read as a prefix ("3x" -> 3) or as 0 ("abc").
+  for (const char* bad : {"abc", "3x", "-1"}) {
+    ::setenv("MENOS_EXECUTOR_THREADS", bad, 1);
+    try {
+      Executor::resolve_width(0);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("MENOS_EXECUTOR_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   if (saved != nullptr) {
     ::setenv("MENOS_EXECUTOR_THREADS", saved_value.c_str(), 1);

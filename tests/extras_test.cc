@@ -313,6 +313,9 @@ TEST(Dropout, ZeroProbabilityIsIdentity) {
   tensor::Tensor x = tensor::Tensor::full({8}, 2.0f, host_device());
   tensor::Tensor y = tensor::dropout(x, 0.0f, rng);
   EXPECT_EQ(y.to_vector(), x.to_vector());
+  // Disabled dropout draws nothing: the stream continues where it began.
+  util::Rng fresh(1);
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
 }
 
 TEST(Dropout, DropsApproximatelyPFraction) {

@@ -1,8 +1,7 @@
 // The packed-panel matmul kernels' determinism contract: blocked output ==
 // serial reference, BIT-identical, for every block configuration, thread
 // count, and awkward shape; the permute copy == its per-element reference
-// for every rank and width — plus the fused elementwise ops' equivalence
-// to their compositions and the fastmath accuracy bounds.
+// for every rank and width — plus the fastmath accuracy bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +10,7 @@
 #include <vector>
 
 #include "tensor/kernels.h"
-#include "tensor/ops.h"
-#include "test_helpers.h"
+#include "tensor/tensor.h"
 #include "util/fastmath.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -20,9 +18,7 @@
 namespace menos {
 namespace {
 
-using menos::testing::host_device;
 using tensor::Index;
-using tensor::Tensor;
 using tensor::kernels::BlockConfig;
 using util::ThreadPool;
 
@@ -297,73 +293,6 @@ TEST(KernelConfig, RejectsNegativeBlockSizes) {
   EXPECT_GT(tensor::kernels::micro_tile_rows(), 0);
   EXPECT_GT(tensor::kernels::micro_tile_cols(), 0);
   EXPECT_NE(tensor::kernels::vector_arch(), nullptr);
-}
-
-// ----- fused elementwise ops == their compositions -----
-
-TEST(FusedOps, BiasGeluMatchesCompositionForwardAndBackward) {
-  const Index rows = 17, n = 45;
-  util::Rng rng(71);
-  Tensor x1 = testing::random_leaf({rows, n}, rng, host_device());
-  Tensor b1 = testing::random_leaf({n}, rng, host_device());
-  Tensor x2 = Tensor::from_vector(x1.to_vector(), x1.shape(), host_device(),
-                                  /*requires_grad=*/true);
-  Tensor b2 = Tensor::from_vector(b1.to_vector(), b1.shape(), host_device(),
-                                  /*requires_grad=*/true);
-
-  Tensor composed = tensor::gelu(tensor::add_bias(x1, b1));
-  Tensor fused = tensor::bias_gelu(x2, b2);
-  ASSERT_EQ(std::memcmp(composed.data(), fused.data(), composed.bytes()), 0)
-      << "bias_gelu forward differs from gelu(add_bias(..))";
-
-  tensor::backward(tensor::sum(tensor::mul(composed, composed)));
-  tensor::backward(tensor::sum(tensor::mul(fused, fused)));
-  ASSERT_EQ(
-      std::memcmp(x1.grad().data(), x2.grad().data(), x1.grad().bytes()), 0)
-      << "bias_gelu dx differs";
-  ASSERT_EQ(
-      std::memcmp(b1.grad().data(), b2.grad().data(), b1.grad().bytes()), 0)
-      << "bias_gelu dbias differs";
-}
-
-TEST(FusedOps, FusedAddLayerNormMatchesCompositionForwardAndBackward) {
-  const Index rows = 13, n = 40;
-  util::Rng rng(73);
-  Tensor a1 = testing::random_leaf({rows, n}, rng, host_device());
-  Tensor b1 = testing::random_leaf({rows, n}, rng, host_device());
-  Tensor g1 = testing::random_leaf({n}, rng, host_device());
-  Tensor be1 = testing::random_leaf({n}, rng, host_device());
-  const auto leaf_copy = [](const Tensor& t) {
-    return Tensor::from_vector(t.to_vector(), t.shape(), host_device(),
-                               /*requires_grad=*/true);
-  };
-  Tensor a2 = leaf_copy(a1);
-  Tensor b2 = leaf_copy(b1);
-  Tensor g2 = leaf_copy(g1);
-  Tensor be2 = leaf_copy(be1);
-
-  Tensor h1 = tensor::add(a1, b1);
-  Tensor y1 = tensor::layer_norm(h1, g1, be1);
-  auto [h2, y2] = tensor::fused_add_layer_norm(a2, b2, g2, be2);
-  ASSERT_EQ(std::memcmp(h1.data(), h2.data(), h1.bytes()), 0)
-      << "fused residual h differs from add(a, b)";
-  ASSERT_EQ(std::memcmp(y1.data(), y2.data(), y1.bytes()), 0)
-      << "fused layer_norm output differs";
-
-  // Drive gradients through BOTH outputs, as a transformer block does
-  // (h feeds the residual, y feeds the MLP).
-  tensor::backward(
-      tensor::sum(tensor::add(tensor::mul(y1, y1), tensor::mul(h1, h1))));
-  tensor::backward(
-      tensor::sum(tensor::add(tensor::mul(y2, y2), tensor::mul(h2, h2))));
-  for (auto [lhs, rhs, what] :
-       {std::tuple{&a1, &a2, "da"}, std::tuple{&b1, &b2, "db"},
-        std::tuple{&g1, &g2, "dgamma"}, std::tuple{&be1, &be2, "dbeta"}}) {
-    ASSERT_EQ(std::memcmp(lhs->grad().data(), rhs->grad().data(),
-                          lhs->grad().bytes()),
-              0)
-        << "fused_add_layer_norm " << what << " differs";
-  }
 }
 
 // ----- fastmath accuracy -----

@@ -141,8 +141,8 @@ TEST(Message, TensorMessagesRoundTrip) {
 
 TEST(Message, AllTypesEncodeDecode) {
   WireTensor t;
-  t.shape = {1};
-  t.data = {1.0f};
+  t.shape = {2, 3};
+  t.data = {1.0f, -2.0f, 0.5f, 3.0f, 0.0f, -0.25f};
   const std::vector<Message> messages = {
       Message::hello(sample_config()), Message::hello_ack(100, 200),
       Message::forward(t, 1),          Message::forward_result(t, 1),
@@ -150,10 +150,17 @@ TEST(Message, AllTypesEncodeDecode) {
       Message::bye(),                  Message::error("nope"),
       Message::heartbeat(),            Message::heartbeat_ack(),
       Message::resume_session(77),     Message::resume_ack(77, 5)};
-  for (const Message& m : messages) {
-    auto payload = encode_message(m);
-    Message d = decode_message(payload.data(), payload.size());
-    EXPECT_EQ(d.type, m.type);
+  for (const ActivationCodec codec :
+       {ActivationCodec::None, ActivationCodec::Int8}) {
+    for (Message m : messages) {
+      m.tensor_codec = codec;
+      auto payload = encode_message(m);
+      Message d = decode_message(payload.data(), payload.size());
+      EXPECT_EQ(d.type, m.type);
+      EXPECT_EQ(framed_size(m), frame_message(m).size())
+          << message_type_name(m.type) << " / "
+          << activation_codec_name(codec);
+    }
   }
 }
 
