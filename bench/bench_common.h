@@ -1,15 +1,20 @@
 // Shared formatting helpers for the paper-reproduction bench harnesses.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
+#include "core/executor.h"
 #include "sim/split_sim.h"
+#include "tensor/kernels.h"
 #include "util/bytes.h"
+#include "util/thread_pool.h"
 
 namespace menos::bench {
 
@@ -37,6 +42,31 @@ inline sim::SimConfig make_config(const sim::ModelSpec& spec,
   c.num_clients = clients;
   c.iterations = iterations;
   return c;
+}
+
+/// Write the `"environment": {...},` member every BENCH_*.json opens with:
+/// the host and build a result came from, and the widths of the process's
+/// two pools. `executor_threads` is the serving executor width the bench
+/// configured (0 = resolved from MENOS_EXECUTOR_THREADS / hardware, as a
+/// default ServerConfig does); the compute pool width is the one
+/// MENOS_THREADS configures, before any bench-driven resize.
+inline void write_environment(std::FILE* f, int executor_threads = 0) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"environment\": {\n");
+  std::fprintf(f, "    \"hardware_concurrency\": %d,\n", hw);
+  std::fprintf(f, "    \"compiler\": \"%s\",\n", __VERSION__);
+#ifdef NDEBUG
+  std::fprintf(f, "    \"build\": \"release\",\n");
+#else
+  std::fprintf(f, "    \"build\": \"debug\",\n");
+#endif
+  std::fprintf(f, "    \"vector_arch\": \"%s\",\n",
+               tensor::kernels::vector_arch());
+  std::fprintf(f, "    \"executor_threads\": %d,\n",
+               core::Executor::resolve_width(executor_threads));
+  std::fprintf(f, "    \"pool_threads\": %d\n",
+               util::env_width("MENOS_THREADS", std::max(1, hw)));
+  std::fprintf(f, "  },\n");
 }
 
 /// The gated benches' command line: `[out.json] [--check-floor R]`. R is

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
@@ -311,6 +312,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig10_fleet\",\n");
+  menos::bench::write_environment(f);
   std::fprintf(f, "  \"sessions\": %d,\n  \"steps_per_session\": %d,\n",
                kSessions, kStepsPerSession);
   std::fprintf(f, "  \"uplink_latency_ms\": %.1f,\n",

@@ -35,6 +35,12 @@ namespace {
 
 using namespace menos;
 
+// A single-threaded executor computes every grant inline before the next
+// request is even parsed, so the scheduler would never see two waiting
+// requests no matter the memory pressure. Four workers keep request intake
+// flowing while grants compute.
+constexpr int kExecutorThreads = 4;
+
 // Deep trunk on purpose: the server hosts blocks [1, n_layers), so the
 // fused pass amortizes twenty-three blocks of per-pass fixed cost per group
 // while the client-side share (embedding, one block, head, optimizer)
@@ -98,11 +104,7 @@ double measure(sched::Policy policy, int count, std::uint64_t* groups,
   config.mode = core::ServingMode::MenosOnDemand;
   config.sched_policy = policy;
   config.base_seed = 42;
-  // A single-threaded executor computes every grant inline before the next
-  // request is even parsed, so the scheduler would never see two waiting
-  // requests no matter the memory pressure. Four workers keep request
-  // intake flowing while grants compute.
-  config.executor_threads = 4;
+  config.executor_threads = kExecutorThreads;
   net::InprocAcceptor acceptor;
   core::Server server(config, devices, bench_model());
   server.start(acceptor);
@@ -259,8 +261,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig11_batching\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  menos::bench::write_environment(f, kExecutorThreads);
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "gpusim/device.h"
 #include "mem/caching_allocator.h"
 #include "util/rng.h"
@@ -168,6 +169,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_allocator\",\n");
+  menos::bench::write_environment(f);
   std::fprintf(f, "  \"capacity_mb\": %zu,\n",
                static_cast<std::size_t>(kCapacity >> 20));
   std::fprintf(f, "  \"workloads\": [\n");

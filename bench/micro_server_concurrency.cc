@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
@@ -69,7 +70,7 @@ struct Point {
 /// N sessions against a fresh server: connect all, one train step each
 /// (16 driver threads), disconnect all. Driver threads are client-side
 /// load generation; the server side runs on its fixed executor.
-Point measure(int count, int* executor_width) {
+Point measure(int count) {
   gpusim::DeviceManager devices(1, 2ull << 30);
   gpusim::DeviceManager client_devices(1, 2ull << 30);
   core::ServerConfig config;
@@ -78,7 +79,6 @@ Point measure(int count, int* executor_width) {
   net::InprocAcceptor acceptor;
   core::Server server(config, devices, bench_model());
   server.start(acceptor);
-  *executor_width = server.executor().width();
 
   std::atomic<bool> sampling{true};
   std::atomic<int> peak{os_thread_count()};
@@ -163,9 +163,8 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   std::vector<Point> points;
-  int executor_width = 0;
   for (int count : {8, 32, 128, 512}) {
-    const Point p = measure(count, &executor_width);
+    const Point p = measure(count);
     std::printf(
         "clients=%4d  %8.2f sessions/s  peak_threads=%4d  (%.3f s)   "
         "[thread-per-client baseline: peak_threads=%d]\n",
@@ -180,9 +179,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_server_concurrency\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"executor_width\": %d,\n", executor_width);
+  menos::bench::write_environment(f);
   std::fprintf(f, "  \"executor\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     json_point(f, points[i]);

@@ -345,8 +345,8 @@ int main(int argc, char** argv) {
   }
   const auto blocks = menos::tensor::kernels::block_config();
   std::fprintf(f, "{\n  \"bench\": \"micro_tensor_ops\",\n");
-  std::fprintf(f, "  \"environment\": {\n");
-  std::fprintf(f, "    \"hardware_concurrency\": %u,\n", hw);
+  menos::bench::write_environment(f);
+  std::fprintf(f, "  \"kernel_config\": {\n");
   std::fprintf(f, "    \"thread_widths\": [");
   {
     const std::vector<int> widths = bench_widths();
@@ -355,14 +355,6 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(f, "],\n");
-  std::fprintf(f, "    \"compiler\": \"%s\",\n", __VERSION__);
-#ifdef NDEBUG
-  std::fprintf(f, "    \"build\": \"release\",\n");
-#else
-  std::fprintf(f, "    \"build\": \"debug\",\n");
-#endif
-  std::fprintf(f, "    \"vector_arch\": \"%s\",\n",
-               menos::tensor::kernels::vector_arch());
   std::fprintf(f, "    \"micro_tile\": [%lld, %lld],\n",
                static_cast<long long>(
                    menos::tensor::kernels::micro_tile_rows()),

@@ -14,7 +14,4 @@ int Executor::resolve_width(int configured) {
                          std::min(8, std::max(1, static_cast<int>(hw))));
 }
 
-Executor::Executor(int configured_width)
-    : pool_(resolve_width(configured_width)) {}
-
 }  // namespace menos::core

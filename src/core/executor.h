@@ -1,5 +1,7 @@
 // Shared serving executor: the fixed worker pool that drives every
-// ServingSession state machine (docs/ARCHITECTURE.md).
+// ServingSession state machine (docs/ARCHITECTURE.md). Callers post to it
+// and build strands on it directly; Server::stop (or the Fleet) drains it
+// with stop_and_join once the last session has finished.
 //
 // Width resolution (resolve_width): an explicit ServerConfig value wins,
 // then the MENOS_EXECUTOR_THREADS environment variable (so CI can force
@@ -10,26 +12,13 @@
 
 namespace menos::core {
 
-class Executor {
+class Executor : public util::TaskPool {
  public:
   /// `configured` <= 0 means "resolve from environment/hardware".
-  explicit Executor(int configured_width = 0);
-
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
+  explicit Executor(int configured_width = 0)
+      : util::TaskPool(resolve_width(configured_width)) {}
 
   static int resolve_width(int configured);
-
-  util::TaskPool& pool() noexcept { return pool_; }
-  util::Strand make_strand() { return util::Strand(pool_); }
-  int width() const noexcept { return pool_.width(); }
-
-  /// Drain queued events and join the workers. Idempotent; called by
-  /// Server::stop after the last session has finished.
-  void stop_and_join() { pool_.stop_and_join(); }
-
- private:
-  util::TaskPool pool_;
 };
 
 }  // namespace menos::core

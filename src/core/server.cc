@@ -186,35 +186,29 @@ void Server::install_session_locked(
 }
 
 void Server::accept_loop(net::Acceptor* acceptor) {
-  while (true) {
-    std::unique_ptr<net::Connection> connection = acceptor->accept();
-    if (connection == nullptr) return;  // acceptor closed
-    util::MutexLock lock(sessions_mutex_);
-    reap_finished_locked();
-    // `| 1` keeps 0 reserved as "no token" (the Hello/HelloAck default).
-    const std::uint64_t token = token_rng_.next_u64() | 1;
-    auto session = std::make_shared<ServingSession>(
-        next_client_id_++, token, std::move(connection), config_,
-        store_.get(), model_, *scheduler_, *devices_, profiling_mutex_,
-        profile_cache_, *executor_, *poller_, offload_.get());
-    install_session_locked(session);
-    session->start();
+  // A null accept means the acceptor closed.
+  while (std::shared_ptr<net::Connection> connection = acceptor->accept()) {
+    if (adopt_connection(connection, std::nullopt) == 0) connection->close();
   }
 }
 
 std::uint64_t Server::adopt_connection(
-    std::unique_ptr<net::Connection> connection) {
+    std::shared_ptr<net::Connection> connection,
+    std::optional<net::Message> first) {
   MENOS_CHECK_MSG(connection != nullptr, "adopting a null connection");
-  if (stopping_.load()) return 0;
   util::MutexLock lock(sessions_mutex_);
+  // Checked under the table lock: stop() sets stopping_ before it snapshots
+  // the table, so a session published here is always in that snapshot.
+  if (stopping_.load()) return 0;
   reap_finished_locked();
+  // `| 1` keeps 0 reserved as "no token" (the Hello/HelloAck default).
   const std::uint64_t token = token_rng_.next_u64() | 1;
   auto session = std::make_shared<ServingSession>(
       next_client_id_++, token, std::move(connection), config_, store_.get(),
       model_, *scheduler_, *devices_, profiling_mutex_, profile_cache_,
       *executor_, *poller_, offload_.get());
   install_session_locked(session);
-  session->start();
+  session->start(std::move(first));
   return token;
 }
 
@@ -267,16 +261,6 @@ bool Server::migrate_in(const MigrationTicket& ticket) {
   // is visible here — both orders leave exactly one stop request.
   if (stopping_.load()) session->request_stop();
   return true;
-}
-
-std::vector<std::uint64_t> Server::session_tokens() const {
-  util::MutexLock lock(sessions_mutex_);
-  std::vector<std::uint64_t> tokens;
-  tokens.reserve(sessions_.size());
-  for (const auto& session : sessions_) {
-    if (!session->finished()) tokens.push_back(session->token());
-  }
-  return tokens;
 }
 
 bool Server::route_resume(std::uint64_t token,

@@ -51,12 +51,15 @@ class Server {
   /// stopped by its owner after every shard has stopped). Idempotent.
   void stop();
 
-  /// Hand an externally accepted connection to a new session and return
-  /// its token (the same identity HelloAck echoes to the client). The
-  /// fleet Router calls this after placing a connection on this shard.
-  /// Returns 0 while the server is stopping (the caller closes the
+  /// Hand an accepted connection to a new session and return its token
+  /// (the same identity HelloAck echoes to the client). This is the only
+  /// place a session for a new connection is built: the accept loop calls
+  /// it with no `first` frame; the fleet Router passes the Hello it read to
+  /// place the connection, and the session handles that frame before any
+  /// other. Returns 0 while the server is stopping (the caller closes the
   /// connection).
-  std::uint64_t adopt_connection(std::unique_ptr<net::Connection> connection);
+  std::uint64_t adopt_connection(std::shared_ptr<net::Connection> connection,
+                                 std::optional<net::Message> first);
 
   /// Route a reconnecting client's fresh connection to the parked session
   /// owning `token`. False -> the session is gone (lease expired or never
@@ -83,10 +86,6 @@ class Server {
   void set_session_closed_hook(SessionClosedHook hook) {
     session_closed_hook_ = std::move(hook);
   }
-
-  /// Tokens of the live (non-finished) sessions, for migration victim
-  /// selection.
-  std::vector<std::uint64_t> session_tokens() const;
 
   // ----- introspection for tests/benches -----
 

@@ -27,7 +27,7 @@ void ProfileCache::insert(const std::string& key,
 }
 
 ServingSession::ServingSession(int id, std::uint64_t token,
-                               std::unique_ptr<net::Connection> connection,
+                               std::shared_ptr<net::Connection> connection,
                                const ServerConfig& config,
                                const ParameterStore* store,
                                const nn::TransformerConfig& model,
@@ -48,10 +48,9 @@ ServingSession::ServingSession(int id, std::uint64_t token,
       host_(&devices.host()),
       profiling_mutex_(&profiling_mutex),
       profile_cache_(&profile_cache),
-      executor_(&executor),
       poller_(&poller),
       offload_(offload),
-      strand_(executor.pool()) {
+      strand_(executor) {
   MENOS_CHECK_MSG(!shares_base_model(config.mode) || store_ != nullptr,
                   "shared serving modes require a ParameterStore");
   util::MutexLock lock(conn_mutex_);
@@ -69,8 +68,11 @@ ServingSession::~ServingSession() {
   if (watch_token_ != 0) poller_->unwatch(watch_token_);
 }
 
-void ServingSession::start() {
-  watch_conn(serving_conn_);
+void ServingSession::start(std::optional<net::Message> first) {
+  post_event([first = std::move(first)](ServingSession& s) {
+    if (first.has_value()) s.handle_frame(*first);
+    if (s.state_ != State::Finished) s.watch_conn(s.serving_conn_);
+  });
 }
 
 void ServingSession::request_stop() {
@@ -84,12 +86,6 @@ void ServingSession::request_stop() {
 
 void ServingSession::on_grant(const sched::Grant& grant) {
   (void)grant;  // single-GPU runtime: partition is always 0
-  if (unit_registered_.load()) {
-    // Prefetch-on-grant: start the swap-in on the background task lane so
-    // it overlaps other clients' compute; the strand's ensure_resident()
-    // joins it (or retries a failed charge).
-    offload_->prefetch(id_);
-  }
   post_event([](ServingSession& s) { s.grant_event(); });
 }
 

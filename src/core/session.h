@@ -123,7 +123,7 @@ class ServingSession
   /// `executor` and `poller` are the server's shared serving core; both
   /// must outlive the session.
   ServingSession(int id, std::uint64_t token,
-                 std::unique_ptr<net::Connection> connection,
+                 std::shared_ptr<net::Connection> connection,
                  const ServerConfig& config, const ParameterStore* store,
                  const nn::TransformerConfig& model,
                  sched::Scheduler& scheduler,
@@ -133,9 +133,12 @@ class ServingSession
                  mem::OffloadEngine* offload = nullptr);
   ~ServingSession();
 
-  /// Register with the poller and begin consuming events. Must be called
-  /// on a shared_ptr-owned session (shared_from_this).
-  void start();
+  /// Begin serving: handle `first` (a frame the caller already read off
+  /// the connection, e.g. the Hello the fleet Router placed on), then
+  /// register with the poller and consume what the connection delivers.
+  /// Both run on the strand, so `first` precedes every later frame. Must
+  /// be called on a shared_ptr-owned session (shared_from_this).
+  void start(std::optional<net::Message> first);
 
   /// Close the connection and post a stop event; the session winds down
   /// through cleanup on its strand and then fires the on_finished hook.
@@ -356,7 +359,6 @@ class ServingSession
   gpusim::Device* host_;
   util::Mutex* profiling_mutex_;  // owned by the Server; serializes profiling
   ProfileCache* profile_cache_;
-  Executor* executor_;
   net::Poller* poller_;
   mem::OffloadEngine* offload_;   // owned by the Server; null unless SwapOnIdle
 

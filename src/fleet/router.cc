@@ -68,7 +68,7 @@ void Router::accept_loop(net::Acceptor* acceptor) {
     // slow connector. Watches start disarmed, so the callback cannot fire
     // before the token is stored below.
     const std::uint64_t watch = poller_->watch(*conn, [this, id] {
-      executor_->pool().post([this, id] { handle_first(id); });
+      executor_->post([this, id] { handle_first(id); });
     });
     bool keep = false;
     {
@@ -152,51 +152,31 @@ void Router::handle_first(std::uint64_t pending_id) {
 void Router::route_hello(std::shared_ptr<net::Connection> conn,
                          net::Message hello) {
   int shard = 0;
+  std::uint64_t token = 0;
   {
-    // Placements are serialized here, so every decision sees the loads
-    // left by the previous one — LeastLoaded distributes near-perfectly
-    // even under a burst of simultaneous connects.
+    // Placement, adoption and the table insert share one hold. Placements
+    // are serialized, so every decision sees the loads left by the previous
+    // one — LeastLoaded distributes near-perfectly even under a burst of
+    // simultaneous connects. And the entry and the trace record exist
+    // before the session can send HelloAck (so a resume always finds the
+    // entry) or finish (its closed hook waits for this hold, then erases
+    // the entry).
     util::MutexLock lock(mutex_);
     shard = policy_->place(hello.config, gather_loads());
     MENOS_CHECK_MSG(shard >= 0 && shard < static_cast<int>(shards_.size()),
                     "policy returned shard " << shard << " out of range");
-  }
-  // Hand the shard an intact stream: the Hello we consumed is re-delivered
-  // by the prefixed wrapper as the session's first frame.
-  std::uint64_t token = shards_[static_cast<std::size_t>(shard)]
-                            ->adopt_connection(net::make_prefixed(
-                                conn, std::move(hello)));
-  if (token == 0) {
-    conn->close();  // shard is stopping
-    return;
-  }
-  {
-    util::MutexLock lock(mutex_);
-    Entry entry;
-    entry.shard = shard;
-    table_[token] = std::move(entry);
-    ++placed_[static_cast<std::size_t>(shard)];
-  }
-  // The session may have finished between adoption and the insert above
-  // (instant handshake failure): its closed hook would have found no entry,
-  // so re-check and drop the stale mapping ourselves.
-  bool alive = false;
-  for (std::uint64_t t :
-       shards_[static_cast<std::size_t>(shard)]->session_tokens()) {
-    if (t == token) {
-      alive = true;
-      break;
+    token = shards_[static_cast<std::size_t>(shard)]->adopt_connection(
+        conn, std::move(hello));
+    if (token != 0) {
+      table_[token].shard = shard;
+      ++placed_[static_cast<std::size_t>(shard)];
+      if (trace_ != nullptr) {
+        trace_->record(util::TraceCategory::Session, "router.placed", shard,
+                       token);
+      }
     }
   }
-  if (!alive) {
-    util::MutexLock lock(mutex_);
-    auto it = table_.find(token);
-    if (it != table_.end() && !it->second.migrating) table_.erase(it);
-  }
-  if (trace_ != nullptr) {
-    trace_->record(util::TraceCategory::Session, "router.placed", shard,
-                   token);
-  }
+  if (token == 0) conn->close();  // shard is stopping
 }
 
 void Router::route_resume(std::shared_ptr<net::Connection> conn,

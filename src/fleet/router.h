@@ -5,11 +5,12 @@
 // the shared net::Poller and reads the frame from an executor task, so a
 // silent connector cannot stall other arrivals):
 //
-//  * Hello          -> ask the PlacementPolicy for a shard, wrap the
-//                      connection so the consumed frame is re-delivered
-//                      (net::make_prefixed), and adopt it there. The
-//                      placement is recorded token -> shard and traced as
-//                      "router.placed".
+//  * Hello          -> ask the PlacementPolicy for a shard and adopt the
+//                      connection there, handing the consumed Hello to
+//                      Server::adopt_connection as the session's first
+//                      frame. Placement, adoption and the token -> shard
+//                      record happen under one hold of the router mutex;
+//                      the placement is traced as "router.placed".
 //  * ResumeSession  -> look the token up and hand the connection straight
 //                      to that shard's parked session. A token mid-
 //                      migration queues the connection; finish_migration
@@ -126,7 +127,9 @@ class Router {
   std::atomic<bool> stopping_{false};
 
   // Rank below every core/sched lock: gather_loads() queries shards (ranks
-  // 10/30) while holding this, and shard hooks take it with nothing held.
+  // 10/30) and route_hello adopts a connection on one (server sessions 10
+  // through the executor's taskpool 70) while holding this; shard hooks
+  // take it with nothing held.
   mutable util::Mutex mutex_{"fleet.router", 6};
   std::unordered_map<std::uint64_t, PendingConn> pending_
       MENOS_GUARDED_BY(mutex_);

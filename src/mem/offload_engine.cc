@@ -1,27 +1,11 @@
 #include "mem/offload_engine.h"
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace menos::mem {
 
-const char* residency_name(Residency r) noexcept {
-  switch (r) {
-    case Residency::OnDevice:  return "on-device";
-    case Residency::OnHost:    return "on-host";
-    case Residency::MovingIn:  return "moving-in";
-    case Residency::MovingOut: return "moving-out";
-  }
-  return "?";
-}
-
 OffloadEngine::OffloadEngine(gpusim::TransferModel transfer)
     : transfer_(transfer) {}
-
-OffloadEngine::~OffloadEngine() {
-  util::MutexLock lock(mutex_);
-  while (inflight_ > 0) state_cv_.wait(mutex_);
-}
 
 OffloadEngine::Unit& OffloadEngine::unit_locked(int id) {
   auto it = units_.find(id);
@@ -30,10 +14,7 @@ OffloadEngine::Unit& OffloadEngine::unit_locked(int id) {
 }
 
 void OffloadEngine::wait_while_moving_locked(Unit& unit) {
-  while (unit.state == Residency::MovingIn ||
-         unit.state == Residency::MovingOut) {
-    state_cv_.wait(mutex_);
-  }
+  while (unit.state == Residency::MovingIn) state_cv_.wait(mutex_);
 }
 
 void OffloadEngine::register_unit(int id, std::size_t bytes,
@@ -78,43 +59,16 @@ void OffloadEngine::end_use(int id) {
 }
 
 void OffloadEngine::ensure_resident(int id) {
-  {
-    util::MutexLock lock(mutex_);
-    Unit& unit = unit_locked(id);
-    // A prefetch may already be carrying the unit in; ride on it.
-    wait_while_moving_locked(unit);
-    if (unit.state == Residency::OnDevice) return;
-    unit.state = Residency::MovingIn;
-  }
-  complete_move_in(id, /*is_prefetch=*/false);
-}
-
-void OffloadEngine::prefetch(int id) {
-  {
-    util::MutexLock lock(mutex_);
-    auto it = units_.find(id);
-    if (it == units_.end()) return;
-    if (it->second.state != Residency::OnHost) return;
-    it->second.state = Residency::MovingIn;
-    ++inflight_;
-  }
-  util::ThreadPool::instance().submit([this, id] {
-    complete_move_in(id, /*is_prefetch=*/true);
-    util::MutexLock lock(mutex_);
-    --inflight_;
-    state_cv_.notify_all();
-  });
-}
-
-bool OffloadEngine::complete_move_in(int id, bool is_prefetch) {
-  // The caller marked the unit MovingIn, which pins it: unregister_unit
-  // waits for the transition to settle, so the unit outlives this call.
   UnitCallbacks callbacks;
   std::size_t bytes = 0;
   {
     util::MutexLock lock(mutex_);
     Unit& unit = unit_locked(id);
-    MENOS_DCHECK(unit.state == Residency::MovingIn);
+    wait_while_moving_locked(unit);
+    if (unit.state == Residency::OnDevice) return;
+    // MovingIn pins the unit: unregister_unit and release_unit wait for the
+    // transition to settle, and evict_idle skips it.
+    unit.state = Residency::MovingIn;
     callbacks = unit.callbacks;
     bytes = unit.bytes;
   }
@@ -127,7 +81,6 @@ bool OffloadEngine::complete_move_in(int id, bool is_prefetch) {
     util::MutexLock lock(mutex_);
     unit_locked(id).state = Residency::OnHost;
     state_cv_.notify_all();
-    if (is_prefetch) return false;  // ensure_resident will retry + rethrow
     throw;
   }
   callbacks.move(/*to_device=*/true);
@@ -138,9 +91,7 @@ bool OffloadEngine::complete_move_in(int id, bool is_prefetch) {
   ++stats_.swap_ins;
   stats_.bytes_in += bytes;
   stats_.modeled_transfer_s += transfer_.seconds_for(bytes);
-  if (is_prefetch) ++stats_.prefetches;
   state_cv_.notify_all();
-  return true;
 }
 
 ExportedUnit OffloadEngine::release_unit(int id) {
@@ -155,7 +106,6 @@ ExportedUnit OffloadEngine::release_unit(int id) {
   if (out.was_resident) {
     // Synchronous move-out, same rationale as evict_idle: the move
     // callback touches only devices/trace, never the engine or scheduler.
-    unit.state = Residency::MovingOut;
     unit.callbacks.move(/*to_device=*/false);
     ++stats_.swap_outs;
     stats_.bytes_out += unit.bytes;
@@ -198,7 +148,6 @@ std::size_t OffloadEngine::evict_idle(std::size_t bytes_needed,
       }
     }
     if (victim == nullptr) break;  // nothing evictable left
-    victim->state = Residency::MovingOut;
     // Synchronous move-out with the engine mutex held: the scheduler is
     // mid-reclaim and the move callback touches only devices/trace (the
     // UnitCallbacks contract), so no lock cycle is possible.

@@ -23,12 +23,12 @@
 // permitted nesting. evict_idle() is called from the scheduler's reclaim
 // callback with the scheduler mutex held and takes the engine mutex;
 // therefore no engine method ever calls the scheduler while holding the
-// engine mutex — ensure_resident()/prefetch() drop it before charge().
+// engine mutex — ensure_resident() drops it before charge().
 //
-// Asynchrony: prefetch() runs the charge + move-in on the process
-// ThreadPool's background task lane (util::ThreadPool::submit) so a grant
-// can overlap a swap-in with the previous client's compute. Transfer time
-// is priced with the same gpusim::TransferModel constants the vanilla
+// Every move runs on its caller's thread: a swap-in on the owning
+// session's strand (ensure_resident), a swap-out inside the scheduler's
+// reclaim pass (evict_idle) or a migration export (release_unit). Transfer
+// time is priced with the same gpusim::TransferModel constants the vanilla
 // baseline and src/sim use, accumulated in stats().modeled_transfer_s.
 #pragma once
 
@@ -43,10 +43,9 @@
 
 namespace menos::mem {
 
-/// Where a unit's tensors currently live.
-enum class Residency : std::uint8_t { OnDevice, OnHost, MovingIn, MovingOut };
-
-const char* residency_name(Residency r) noexcept;
+/// Where a unit's tensors currently live. MovingIn spans ensure_resident's
+/// charge + move, which run without the engine mutex.
+enum class Residency : std::uint8_t { OnDevice, OnHost, MovingIn };
 
 struct UnitCallbacks {
   /// Physically migrate the unit's tensors (true = host -> device).
@@ -72,8 +71,7 @@ struct ExportedUnit {
 
 struct OffloadStats {
   std::uint64_t swap_ins = 0;
-  std::uint64_t swap_outs = 0;   ///< evictions (always via evict_idle)
-  std::uint64_t prefetches = 0;  ///< async move-ins completed
+  std::uint64_t swap_outs = 0;  ///< evictions and migration exports
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
   double modeled_transfer_s = 0.0;  ///< priced with the TransferModel
@@ -82,9 +80,6 @@ struct OffloadStats {
 class OffloadEngine {
  public:
   explicit OffloadEngine(gpusim::TransferModel transfer = {});
-
-  /// Waits for every in-flight async move to settle.
-  ~OffloadEngine();
 
   OffloadEngine(const OffloadEngine&) = delete;
   OffloadEngine& operator=(const OffloadEngine&) = delete;
@@ -113,12 +108,6 @@ class OffloadEngine {
   /// after its own reclaim pass.
   void ensure_resident(int id);
 
-  /// Asynchronous move-in hint (prefetch-on-grant): if the unit is OnHost,
-  /// start the charge + move on the background task lane and return
-  /// immediately. Failure to charge quietly leaves the unit OnHost — the
-  /// caller's ensure_resident() will retry and surface the error.
-  void prefetch(int id);
-
   /// Detach the unit for migration to another engine: wait for any
   /// in-flight move, swap the tensors out to host if resident (counted as
   /// a swap-out), and forget the unit. The unit must be idle (no busy
@@ -128,9 +117,9 @@ class OffloadEngine {
 
   /// Register a unit previously detached with release_unit on another
   /// engine. The unit's tensors must already live on the host; it starts
-  /// OnHost with NO scheduler charge — the first ensure_resident() (or
-  /// prefetch) charges the destination shard and moves it in, exactly like
-  /// an evicted unit coming back.
+  /// OnHost with NO scheduler charge — the first ensure_resident() charges
+  /// the destination shard and moves it in, exactly like an evicted unit
+  /// coming back.
   void adopt_unit(int id, const ExportedUnit& unit, UnitCallbacks callbacks);
 
   /// Evict least-recently-used idle resident units (skipping `except_id`)
@@ -155,10 +144,6 @@ class OffloadEngine {
     std::uint64_t last_used = 0; ///< LRU stamp (engine-local clock)
   };
 
-  /// Charge + move a unit previously marked MovingIn by the caller.
-  /// Returns false if the charge failed (unit reverted to OnHost).
-  bool complete_move_in(int id, bool is_prefetch);
-
   void wait_while_moving_locked(Unit& unit) MENOS_REQUIRES(mutex_);
   Unit& unit_locked(int id) MENOS_REQUIRES(mutex_);
 
@@ -168,7 +153,6 @@ class OffloadEngine {
   util::CondVar state_cv_;  ///< signaled on every residency transition
   std::map<int, Unit> units_ MENOS_GUARDED_BY(mutex_);
   std::uint64_t clock_ MENOS_GUARDED_BY(mutex_) = 0;
-  int inflight_ MENOS_GUARDED_BY(mutex_) = 0;  ///< async tasks outstanding
   OffloadStats stats_ MENOS_GUARDED_BY(mutex_);
 };
 

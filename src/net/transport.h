@@ -119,16 +119,6 @@ std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
 make_inproc_pair(const NetworkConditioner& a_to_b,
                  const NetworkConditioner& b_to_a);
 
-/// Wrap `inner` so the already-consumed `first` message is re-delivered by
-/// the first receive()/try_receive() before delegating. Used by the fleet
-/// router, which must read a connection's opening frame to *place* it and
-/// then hand the intact stream to the chosen shard. The wrapper reports
-/// poll_fd()/set_ready_hook from `inner` unchanged; the Poller's latched
-/// initial signal guarantees the buffered frame is drained even if the
-/// transport never signals again.
-std::unique_ptr<Connection> make_prefixed(std::shared_ptr<Connection> inner,
-                                          Message first);
-
 /// Source of inbound connections for a server. accept() blocks; returns
 /// nullptr once closed.
 class Acceptor {

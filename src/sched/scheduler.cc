@@ -441,12 +441,6 @@ void Scheduler::record_service_time(int client_id, double seconds) {
   update_estimate_locked(client_id, seconds);
 }
 
-double Scheduler::service_estimate(int client_id) const {
-  util::MutexLock lock(mutex_);
-  auto it = service_est_.find(client_id);
-  return it == service_est_.end() ? 0.0 : it->second;
-}
-
 void Scheduler::set_straggler_ratio(double ratio) {
   util::MutexLock lock(mutex_);
   MENOS_CHECK_MSG(ratio > 1.0, "straggler ratio must be > 1");
@@ -584,11 +578,6 @@ std::size_t Scheduler::waiting_count() const {
 SchedulerStats Scheduler::stats() const {
   util::MutexLock lock(mutex_);
   return stats_;
-}
-
-int Scheduler::partition_count() const {
-  util::MutexLock lock(mutex_);
-  return static_cast<int>(capacity_.size());
 }
 
 }  // namespace menos::sched

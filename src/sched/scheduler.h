@@ -253,10 +253,6 @@ class Scheduler {
   /// and tests can seed estimates without waiting for the EWMA to warm up.
   void record_service_time(int client_id, double seconds);
 
-  /// Current EWMA service-time estimate for `client_id` (0 until the first
-  /// observation).
-  double service_estimate(int client_id) const;
-
   /// A client is a straggler when its estimate exceeds `ratio` x the
   /// population median estimate (default 2.0; must be > 1).
   void set_straggler_ratio(double ratio);
@@ -278,7 +274,6 @@ class Scheduler {
   std::size_t allocated_to(int client_id) const;
   std::size_t waiting_count() const;
   SchedulerStats stats() const;
-  int partition_count() const;
 
  private:
   struct Waiting {

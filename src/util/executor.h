@@ -1,12 +1,13 @@
 // Fixed-width task executor + serial strands for the event-driven serving
 // core (docs/ARCHITECTURE.md).
 //
-// TaskPool generalizes ThreadPool::submit's single background task lane to
-// a fixed set of FIFO workers sharing one queue: sessions become event
-// handlers posted here instead of owning a thread each, so server
-// concurrency is bounded by GPU memory (the paper's resource), not by OS
-// thread count. Strand serializes the events of one session on top of the
-// pool — per-session ordering without a per-session mutex or thread.
+// TaskPool is a fixed set of FIFO workers sharing one queue, the second of
+// the process's two pools (util::ThreadPool runs the compute kernels):
+// sessions become event handlers posted here instead of owning a thread
+// each, so server concurrency is bounded by GPU memory (the paper's
+// resource), not by OS thread count. Strand serializes the events of one
+// session on top of the pool — per-session ordering without a per-session
+// mutex or thread.
 //
 // This header is the only place outside util/thread_pool.* allowed to
 // spawn threads (tools/menos_lint.py rule `raw-thread`).
@@ -42,7 +43,7 @@ class TaskPool {
 
   /// Enqueue `task` (FIFO across the pool; no ordering between workers —
   /// use a Strand for serialized execution). An exception escaping a task
-  /// is logged and dropped, like ThreadPool::submit.
+  /// is logged and dropped.
   void post(std::function<void()> task);
 
   /// Finish every queued task, then join the workers. Idempotent.

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <string>
 #include <utility>
 
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -76,14 +74,6 @@ struct ThreadPool::State {
   // time-slice against them. It also serializes dispatches, since only a
   // caller that found zero publishes a region.
   std::atomic<int> callers{0};
-
-  // Background task lane (submit): independent of the fork/join fields so
-  // a long-running task never interferes with parallel_for dispatch.
-  Mutex task_mutex{"util.threadpool.task", 47};
-  CondVar task_cv;
-  std::deque<std::function<void()>> tasks MENOS_GUARDED_BY(task_mutex);
-  bool task_stop MENOS_GUARDED_BY(task_mutex) = false;
-  bool task_started MENOS_GUARDED_BY(task_mutex) = false;
 };
 
 ThreadPool& ThreadPool::instance() {
@@ -96,68 +86,12 @@ ThreadPool::ThreadPool() : state_(std::make_unique<State>()) {
   num_threads_ = env_width("MENOS_THREADS", std::max(1, hw));
 }
 
-ThreadPool::~ThreadPool() {
-  stop_task_worker();
-  stop_workers();
-}
+ThreadPool::~ThreadPool() { stop_workers(); }
 
 void ThreadPool::set_num_threads(int n) {
   MENOS_CHECK_MSG(n >= 1, "ThreadPool width must be >= 1, got " << n);
   stop_workers();
   num_threads_ = std::min(n, 256);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  MENOS_CHECK_MSG(task != nullptr, "ThreadPool::submit needs a task");
-  bool spawn = false;
-  {
-    MutexLock lock(state_->task_mutex);
-    MENOS_CHECK_MSG(!state_->task_stop, "ThreadPool is shutting down");
-    state_->tasks.push_back(std::move(task));
-    if (!state_->task_started) {
-      // Lazy start, mirroring the fork/join workers: programs that never
-      // submit() never pay for the extra thread.
-      state_->task_started = true;
-      spawn = true;
-    }
-  }
-  if (spawn) task_thread_ = std::thread([this] { task_worker_main(); });
-  state_->task_cv.notify_one();
-}
-
-void ThreadPool::task_worker_main() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(state_->task_mutex);
-      while (state_->tasks.empty() && !state_->task_stop) {
-        state_->task_cv.wait(state_->task_mutex);
-      }
-      if (state_->tasks.empty()) return;  // stop requested, queue drained
-      task = std::move(state_->tasks.front());
-      state_->tasks.pop_front();
-    }
-    try {
-      task();
-    } catch (const std::exception& e) {
-      MENOS_LOG(Error) << "background task failed: " << e.what();
-    } catch (...) {
-      MENOS_LOG(Error) << "background task failed with a non-exception";
-    }
-  }
-}
-
-void ThreadPool::stop_task_worker() {
-  {
-    MutexLock lock(state_->task_mutex);
-    if (!state_->task_started) return;
-    state_->task_stop = true;
-  }
-  state_->task_cv.notify_all();
-  task_thread_.join();
-  MutexLock lock(state_->task_mutex);
-  state_->task_started = false;
-  state_->task_stop = false;
 }
 
 void ThreadPool::stop_workers() {

@@ -1,4 +1,7 @@
 // Process-wide fork/join thread pool behind the tensor compute kernels.
+// It is one of the process's two pools; the other is the serving
+// executor (util::TaskPool, util/executor.h), which runs session events.
+// This one runs nothing but parallel_for ranges.
 //
 // Design constraints, in priority order:
 //   1. Determinism. parallel_for partitions [begin, end) into disjoint
@@ -60,28 +63,17 @@ class ThreadPool {
   /// finish.
   void parallel_for(Index begin, Index end, Index grain, const Body& body);
 
-  /// Run `task` asynchronously on the pool's background task lane: one
-  /// dedicated FIFO worker, lazily spawned and fully independent of the
-  /// fork/join machinery above (a task may itself call parallel_for).
-  /// Tasks run in submission order; an exception escaping a task is logged
-  /// and dropped — callers that care catch their own. Used by the offload
-  /// engine (src/mem) for asynchronous host<->device swaps.
-  void submit(std::function<void()> task);
-
  private:
   ThreadPool();
 
   struct Region;
 
   void stop_workers();
-  void stop_task_worker();
   void worker_main();
-  void task_worker_main();
   static void run_chunks(Region& region);
 
   int num_threads_ = 1;
   std::vector<std::thread> workers_;
-  std::thread task_thread_;  ///< background task lane (see submit)
 
   // All fields below are guarded by an annotated util::Mutex in the .cc
   // (kept out of the header to avoid dragging locking headers into every

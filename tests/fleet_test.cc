@@ -169,6 +169,9 @@ TEST(FleetPlacement, LeastLoadedSpreads128SessionsEvenly) {
         acceptor.connect(), cds.back()->gpu(0)));
     clients.back()->connect();
     ASSERT_NE(clients.back()->session_token(), 0u);
+    // The router records the placement before the session can send
+    // HelloAck, so the token resolves as soon as connect() returns.
+    EXPECT_GE(fleet.router().shard_of(clients.back()->session_token()), 0);
   }
 
   const std::vector<int> placed = fleet.router().placements();
@@ -186,6 +189,38 @@ TEST(FleetPlacement, LeastLoadedSpreads128SessionsEvenly) {
   EXPECT_EQ(count_events(trace, "router.placed"), kSessions);
 
   for (auto& client : clients) client->disconnect();
+  fleet.stop();
+}
+
+// A Hello for a model the fleet does not host is placed and adopted, then
+// rejected by the shard's handshake: the session finishes at once. Its
+// closed hook must still erase the router's entry, so no token lingers.
+TEST(FleetPlacement, RejectedHelloLeavesNoTableEntry) {
+  fleet::Fleet fleet(fleet_config(2, "round-robin", nullptr), fleet_model());
+  net::InprocAcceptor acceptor;
+  fleet.start(acceptor);
+
+  core::ClientOptions options = fleet_options(41);
+  options.finetune.model.dim = 64;  // not what the fleet hosts
+  options.finetune.model.n_heads = 4;
+  gpusim::DeviceManager cd(1, 64u << 20);
+  core::Client client(options, acceptor.connect(), cd.gpu(0));
+  EXPECT_THROW(client.connect(), StateError);
+
+  const std::vector<int> placed = fleet.router().placements();
+  EXPECT_EQ(placed[0] + placed[1], 1) << "the Hello was never placed";
+  // The closed hook runs on the session's strand after the Error reply;
+  // give it a bounded moment.
+  const auto table_empty = [&fleet] {
+    return fleet.router().tokens_on(0).empty() &&
+           fleet.router().tokens_on(1).empty();
+  };
+  for (int i = 0; i < 400 && !table_empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_TRUE(fleet.router().tokens_on(s).empty()) << "shard " << s;
+  }
   fleet.stop();
 }
 

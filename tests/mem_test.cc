@@ -339,24 +339,6 @@ TEST(OffloadEngineTest, FailedChargeLeavesUnitOnHostAndThrows) {
   EXPECT_TRUE(engine.resident(7));
 }
 
-TEST(OffloadEngineTest, PrefetchCompletesAsynchronously) {
-  mem::OffloadEngine engine;
-  FakeWorld world;
-  engine.register_unit(7, 64, world.callbacks_for(7, 64));
-  ASSERT_EQ(engine.evict_idle(64), 64u);
-  world.free_bytes = 64;
-  engine.prefetch(7);
-  // ensure_resident joins the in-flight prefetch instead of double-moving.
-  engine.ensure_resident(7);
-  EXPECT_TRUE(engine.resident(7));
-  EXPECT_EQ(engine.stats().swap_ins, 1u);
-  EXPECT_EQ(engine.stats().prefetches, 1u);
-  // Prefetching a resident (or unknown) unit is a cheap no-op.
-  engine.prefetch(7);
-  engine.prefetch(999);
-  EXPECT_EQ(engine.stats().swap_ins, 1u);
-}
-
 TEST(OffloadEngineTest, UnregisterReportsWhetherChargeIsStillHeld) {
   mem::OffloadEngine engine;
   FakeWorld world;
