@@ -303,7 +303,7 @@ std::optional<sched::OpKind> ServingSession::awaited_kind() const {
 
 void ServingSession::grant_event() {
   // Any state but a grant wait: a stale grant that raced a stop/expiry;
-  // cleanup's allocated_to() check reclaims the allocation.
+  // cleanup's unconditional release reclaims the allocation.
   const std::optional<sched::OpKind> kind = awaited_kind();
   if (!kind.has_value()) return;
   holding_allocation_ = true;
@@ -625,8 +625,7 @@ sched::ClientDemands ServingSession::profile() {
   std::vector<std::size_t> bases(static_cast<std::size_t>(gpus));
   const auto mark = [&] {
     for (int g = 0; g < gpus; ++g) {
-      bases[static_cast<std::size_t>(g)] = devices_->gpu(g).allocated();
-      devices_->gpu(g).reset_peak();
+      bases[static_cast<std::size_t>(g)] = devices_->gpu(g).reset_peak();
     }
   };
   const auto measure = [&] {
@@ -693,16 +692,10 @@ sched::ClientDemands ServingSession::profile() {
 void ServingSession::release() {
   if (!holding_allocation_) return;
   holding_allocation_ = false;
-  // Under a group grant the BatchCoordinator releases the whole group's
-  // charge itself (on_complete_group); a member failing or tearing down
-  // mid-pass must only hand back what the scheduler still holds for it.
-  if (scheduler_->allocated_to(id_) == 0) return;
-  try {
-    scheduler_->on_complete(id_);
-  } catch (const Error&) {
-    // Lost the race to the group release between the check above and the
-    // call — the charge is already free.
-  }
+  // Under a group grant the BatchCoordinator may already have released the
+  // whole group's charge; the tolerant completion skips a charge that is
+  // gone and frees one that is held, zero-byte grants included.
+  scheduler_->on_complete_group({id_});
 }
 
 void ServingSession::swap_to(gpusim::Device& device) {
@@ -1247,10 +1240,8 @@ void ServingSession::cleanup() {
   // the server's lifetime.)
   scheduler_->cancel_pending(id_);
   // A grant may have raced the stop notification; reclaim it either way.
-  if (!holding_allocation_ && scheduler_->allocated_to(id_) > 0) {
-    holding_allocation_ = true;
-  }
-  release();
+  holding_allocation_ = false;
+  scheduler_->on_complete_group({id_});
   if (section_ != nullptr) {
     // Only registered sessions appear in the scheduler; a failed handshake
     // may not have gotten that far.

@@ -80,7 +80,7 @@ class AuditDevice final : public Device {
   void* allocate(std::size_t bytes) override;
   void deallocate(void* ptr, std::size_t bytes) noexcept override;
   MemoryStats stats() const override;
-  void reset_peak() override { inner_->reset_peak(); }
+  std::size_t reset_peak() override { return inner_->reset_peak(); }
   void empty_cache() override { inner_->empty_cache(); }
 
   // ----- auditing introspection -----

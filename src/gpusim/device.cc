@@ -97,9 +97,10 @@ class MeteredDevice final : public Device {
     return s;
   }
 
-  void reset_peak() override {
+  std::size_t reset_peak() override {
     util::MutexLock lock(mutex_);
     peak_ = allocated_;
+    return peak_;
   }
 
  private:

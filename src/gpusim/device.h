@@ -67,9 +67,11 @@ class Device {
 
   virtual MemoryStats stats() const = 0;
 
-  /// Reset the high-water mark to the current allocation level. Used by the
-  /// profiler to measure the footprint of a single forward/backward pass.
-  virtual void reset_peak() = 0;
+  /// Reset the high-water mark to the current allocation level and return
+  /// that level, read under the same lock — so a concurrent free cannot
+  /// leave the returned base above the new peak. Used by the profiler to
+  /// measure the footprint of a single forward/backward pass.
+  virtual std::size_t reset_peak() = 0;
 
   /// Release memory a pooling layer holds without a live allocation back to
   /// the underlying device. No-op on devices without a cache.

@@ -245,10 +245,11 @@ gpusim::MemoryStats CachingAllocator::stats() const {
   return s;
 }
 
-void CachingAllocator::reset_peak() {
+std::size_t CachingAllocator::reset_peak() {
   util::MutexLock lock(mutex_);
   peak_requested_ = cache_.active_bytes;
   inner_->reset_peak();
+  return peak_requested_;
 }
 
 CacheStats CachingAllocator::cache_stats() const {

@@ -83,7 +83,7 @@ class CachingAllocator final : public gpusim::Device {
   void* allocate(std::size_t bytes) override;
   void deallocate(void* ptr, std::size_t bytes) noexcept override;
   gpusim::MemoryStats stats() const override;
-  void reset_peak() override;
+  std::size_t reset_peak() override;
   void empty_cache() override;
 
   CacheStats cache_stats() const;

@@ -6,11 +6,14 @@
 namespace menos::tensor {
 namespace detail {
 
+bool on_tape(const Tensor& t) {
+  return t.defined() && (t.requires_grad() || t.impl()->grad_fn != nullptr);
+}
+
 bool should_record(const std::vector<Tensor>& inputs) {
   if (!grad_enabled()) return false;
   for (const Tensor& t : inputs) {
-    if (!t.defined()) continue;
-    if (t.requires_grad() || t.impl()->grad_fn != nullptr) return true;
+    if (on_tape(t)) return true;
   }
   return false;
 }
@@ -100,11 +103,9 @@ void backward(const Tensor& loss, const Tensor& seed_in) {
                              << input_grads.size() << " grads for "
                              << inputs.size() << " inputs");
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const Tensor& input = inputs[i];
-      if (!input.defined() || !input_grads[i].defined()) continue;
       // Only tensors on the tape need gradient storage.
-      if (input.requires_grad() || input.impl()->grad_fn != nullptr) {
-        detail::accumulate_grad(input, input_grads[i]);
+      if (detail::on_tape(inputs[i])) {
+        detail::accumulate_grad(inputs[i], input_grads[i]);
       }
     }
     // Non-leaf gradients are scratch: once consumed they can be dropped so

@@ -26,7 +26,10 @@ class Node {
  public:
   /// `backward_fn(grad_out)` must return one gradient per entry of
   /// `inputs`, aligned by position; an undefined Tensor means "no gradient
-  /// for this input".
+  /// for this input". Need-flag rule: an op captures on_tape() of each
+  /// input at record time and computes (and allocates) a gradient only for
+  /// inputs that are on the tape, so a frozen weight costs no backward
+  /// FLOPs or bytes — backward() would discard such a gradient anyway.
   Node(std::string name, std::vector<Tensor> inputs,
        std::function<std::vector<Tensor>(const Tensor&)> backward_fn)
       : name_(std::move(name)),
@@ -47,6 +50,10 @@ class Node {
 };
 
 namespace detail {
+
+/// True if `t` participates in the tape: it requires grad, or an op that
+/// recorded a node produced it. Only such tensors receive gradients.
+bool on_tape(const Tensor& t);
 
 /// True if this op invocation should record a node: grad mode is on and at
 /// least one input participates in the tape.

@@ -53,8 +53,8 @@ void mm_batched(const float* a, const float* b, float* c, Index batch,
 void mm_nt_batched(const float* a, const float* b, float* c, Index batch,
                    Index m, Index n, Index k, bool shared_b);
 
-/// C[bi][k,n] += A[bi][m,k]^T * B[bi][m,n]. (For a shared-B gradient the
-/// caller must reduce over the batch serially — see tensor::matmul.)
+/// C[bi][k,n] += A[bi][m,k]^T * B[bi][m,n]. (A shared-B gradient sums
+/// over the batch: that is one mm_tn with contraction depth batch * m.)
 void mm_tn_batched(const float* a, const float* b, float* c, Index batch,
                    Index m, Index k, Index n);
 

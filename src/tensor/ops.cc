@@ -14,6 +14,7 @@ namespace menos::tensor {
 namespace {
 
 using detail::attach_node;
+using detail::on_tape;
 using detail::should_record;
 
 void check_defined(const Tensor& t, const char* op) {
@@ -88,21 +89,19 @@ Tensor bias_grad_columns(const Tensor& g, Index rows, Index n) {
 }
 
 /// The layer_norm backward body: {dx, dgamma, dbeta} from the saved
-/// normalized activations and per-row 1/sigma.
+/// normalized activations and per-row 1/sigma. dgamma/dbeta share one
+/// pass and are computed only when `need_affine` (either is on the tape).
 std::vector<Tensor> layer_norm_backward(const Tensor& xhat,
                                         const Tensor& inv_sigma,
                                         const Tensor& gamma_saved, Index n,
-                                        Index rows, const Tensor& g) {
+                                        Index rows, bool need_affine,
+                                        const Tensor& g) {
   Tensor dx = Tensor::empty(g.shape(), g.device());
-  Tensor dgamma = Tensor::zeros({n}, g.device());
-  Tensor dbeta = Tensor::zeros({n}, g.device());
   const float* ph2 = xhat.data();
   const float* pis2 = inv_sigma.data();
   const float* pgam = gamma_saved.data();
   const float* pgr = g.data();
   float* pdx = dx.data();
-  float* pdg = dgamma.data();
-  float* pdb = dbeta.data();
   // Pass 1 (rows): dx, which only needs per-row statistics.
   util::parallel_for(0, rows, rows_grain(n), [&](Index lo, Index hi) {
     for (Index r = lo; r < hi; ++r) {
@@ -124,9 +123,14 @@ std::vector<Tensor> layer_norm_backward(const Tensor& xhat,
       }
     }
   });
+  if (!need_affine) return {dx, Tensor(), Tensor()};
   // Pass 2 (columns): dgamma/dbeta. Each thread owns a column block and
   // sweeps rows in ascending order, so the reduction order per parameter
   // is thread-count invariant.
+  Tensor dgamma = Tensor::zeros({n}, g.device());
+  Tensor dbeta = Tensor::zeros({n}, g.device());
+  float* pdg = dgamma.data();
+  float* pdb = dbeta.data();
   util::parallel_for(0, n, rows_grain(rows), [&](Index j0, Index j1) {
     for (Index r = 0; r < rows; ++r) {
       const float* hr = ph2 + r * n;
@@ -244,9 +248,12 @@ Tensor add_bias(const Tensor& x, const Tensor& bias) {
     }
   });
   if (should_record({x, bias})) {
-    attach_node(out, "add_bias", {x, bias}, [n, rows](const Tensor& g) {
-      return std::vector<Tensor>{g, bias_grad_columns(g, rows, n)};
-    });
+    const bool need_bias = on_tape(bias);
+    attach_node(out, "add_bias", {x, bias},
+                [n, rows, need_bias](const Tensor& g) {
+                  return std::vector<Tensor>{
+                      g, need_bias ? bias_grad_columns(g, rows, n) : Tensor()};
+                });
   }
   return out;
 }
@@ -613,29 +620,30 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   if (should_record({a, b})) {
     Tensor saved_a = a.detach();
     Tensor saved_b = b.detach();
+    const bool need_a = on_tape(a);
+    const bool need_b = on_tape(b);
     attach_node(out, "matmul", {a, b},
-                [saved_a, saved_b, m, k, n, batch, shared_b](const Tensor& g) {
-                  Tensor da = Tensor::zeros(saved_a.shape(), g.device());
-                  Tensor db = Tensor::zeros(saved_b.shape(), g.device());
+                [saved_a, saved_b, m, k, n, batch, shared_b, need_a,
+                 need_b](const Tensor& g) {
+                  Tensor da, db;
                   const float* pg = g.data();
-                  const float* pa2 = saved_a.data();
-                  const float* pb2 = saved_b.data();
-                  float* pda = da.data();
-                  float* pdb = db.data();
-                  // dA_i = dC_i * B_i^T.
-                  kernels::mm_nt_batched(pg, pb2, pda, batch, m, n, k,
-                                         shared_b);
-                  // dB (+)= A_i^T * dC_i.
-                  if (shared_b) {
-                    // Every batch accumulates into the same dB, so keep the
-                    // batch loop serial (fixed order) and parallelize over
-                    // dB's rows inside each contraction.
-                    for (Index i = 0; i < batch; ++i) {
-                      kernels::mm_tn(pa2 + i * m * k, pg + i * m * n, pdb, m,
+                  if (need_a) {
+                    // dA_i = dC_i * B_i^T.
+                    da = Tensor::zeros(saved_a.shape(), g.device());
+                    kernels::mm_nt_batched(pg, saved_b.data(), da.data(),
+                                           batch, m, n, k, shared_b);
+                  }
+                  if (need_b) {
+                    // dB (+)= A_i^T * dC_i. A shared dB sums over the batch:
+                    // one [batch*m, k]^T x [batch*m, n] product.
+                    db = Tensor::zeros(saved_b.shape(), g.device());
+                    if (shared_b) {
+                      kernels::mm_tn(saved_a.data(), pg, db.data(), batch * m,
                                      k, n);
+                    } else {
+                      kernels::mm_tn_batched(saved_a.data(), pg, db.data(),
+                                             batch, m, k, n);
                     }
-                  } else {
-                    kernels::mm_tn_batched(pa2, pg, pdb, batch, m, k, n);
                   }
                   return std::vector<Tensor>{da, db};
                 });
@@ -817,9 +825,11 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
   if (should_record({x, gamma, beta})) {
     Tensor sg = gamma.detach();
+    const bool need_affine = on_tape(gamma) || on_tape(beta);
     attach_node(out, "layer_norm", {x, gamma, beta},
-                [xhat, inv_sigma, sg, n, rows](const Tensor& g) {
-                  return layer_norm_backward(xhat, inv_sigma, sg, n, rows, g);
+                [xhat, inv_sigma, sg, n, rows, need_affine](const Tensor& g) {
+                  return layer_norm_backward(xhat, inv_sigma, sg, n, rows,
+                                             need_affine, g);
                 });
   }
   return out;
@@ -860,16 +870,15 @@ Tensor rms_norm(const Tensor& x, const Tensor& gamma, float eps) {
 
   if (should_record({x, gamma})) {
     Tensor sg = gamma.detach();
+    const bool need_gamma = on_tape(gamma);
     attach_node(out, "rms_norm", {x, gamma},
-                [xhat, inv_rms, sg, n, rows](const Tensor& g) {
+                [xhat, inv_rms, sg, n, rows, need_gamma](const Tensor& g) {
                   Tensor dx = Tensor::empty(g.shape(), g.device());
-                  Tensor dgamma = Tensor::zeros({n}, g.device());
                   const float* ph2 = xhat.data();
                   const float* pir2 = inv_rms.data();
                   const float* pgam = sg.data();
                   const float* pgr = g.data();
                   float* pdx = dx.data();
-                  float* pdg = dgamma.data();
                   util::parallel_for(
                       0, rows, rows_grain(n), [&](Index lo, Index hi) {
                         for (Index r = lo; r < hi; ++r) {
@@ -888,6 +897,9 @@ Tensor rms_norm(const Tensor& x, const Tensor& gamma, float eps) {
                           }
                         }
                       });
+                  if (!need_gamma) return std::vector<Tensor>{dx, Tensor()};
+                  Tensor dgamma = Tensor::zeros({n}, g.device());
+                  float* pdg = dgamma.data();
                   util::parallel_for(
                       0, n, rows_grain(rows), [&](Index j0, Index j1) {
                         for (Index r = 0; r < rows; ++r) {

@@ -1,10 +1,14 @@
 // Reverse-mode autograd: every differentiable op is verified against
 // central finite differences, plus tape mechanics (accumulation, detach,
-// no-grad mode, seeded backward for split learning).
+// no-grad mode, seeded backward for split learning) and the need-flag rule
+// (a frozen parameter gets no gradient computed or allocated).
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "tensor/ops.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace menos::tensor {
 namespace {
@@ -249,6 +253,109 @@ TEST(GradCheck, CrossEntropyWithIgnore) {
   Tensor logits = random_leaf({3, 4}, rng, host_device(), 1.0f);
   const std::vector<std::int32_t> targets{2, -1, 0};
   check_gradients([&] { return cross_entropy(logits, targets); }, {logits});
+}
+
+// ----- frozen parameters: the backward computes only what is read -----
+
+/// x -> layer_norm -> Linear (matmul + bias) -> gelu -> rms_norm -> matmul,
+/// the trunk's op mix. `trainable` puts every parameter on the tape.
+struct FrozenGraph {
+  FrozenGraph(gpusim::Device& device, bool trainable) {
+    util::Rng rng(21);
+    x = random_leaf({4, 8, 16}, rng, device, 1.0f);
+    gamma = random_leaf({16}, rng, device);
+    beta = random_leaf({16}, rng, device);
+    w1 = random_leaf({16, 24}, rng, device);
+    b1 = random_leaf({24}, rng, device);
+    gamma2 = random_leaf({24}, rng, device);
+    w2 = random_leaf({24, 8}, rng, device);
+    for (Tensor* p : {&gamma, &beta, &w1, &b1, &gamma2, &w2}) {
+      p->set_requires_grad(trainable);
+    }
+    seed = Tensor::empty({4, 8, 8}, device);
+    rng.fill_normal(seed.data(), static_cast<std::size_t>(seed.numel()), 1.0f);
+  }
+
+  Tensor forward() const {
+    Tensor h = add_bias(matmul(layer_norm(x, gamma, beta), w1), b1);
+    return matmul(rms_norm(gelu(h), gamma2), w2);
+  }
+
+  Tensor x, gamma, beta, w1, b1, gamma2, w2, seed;
+};
+
+using FrozenBackward = menos::testing::DeviceTest;
+
+TEST_F(FrozenBackward, AllocatesOnlyOnTapeGradients) {
+  // LN -> Linear[128x512] -> bias with x on the tape and every parameter
+  // frozen. The backward allocates, per on-tape tensor, its .grad (a clone
+  // of the incoming delta) and each op's input gradient: 2x the output
+  // [4,32,512] for the root and the matmul result (add_bias passes its
+  // gradient through), and 4x x's [4,32,128] for the layer_norm result and
+  // x itself. A weight, bias, gamma or beta gradient would add its bytes.
+  gpusim::Device& gpu = make_gpu("g0", 64u << 20);
+  util::Rng rng(22);
+  Tensor x = random_leaf({4, 32, 128}, rng, gpu);
+  Tensor gamma = Tensor::full({128}, 1.0f, gpu);
+  Tensor beta = Tensor::zeros({128}, gpu);
+  Tensor w = Tensor::empty({128, 512}, gpu);
+  rng.fill_normal(w.data(), static_cast<std::size_t>(w.numel()), 0.02f);
+  Tensor b = Tensor::zeros({512}, gpu);
+  Tensor y = add_bias(matmul(layer_norm(x, gamma, beta), w), b);
+  Tensor seed = Tensor::full(y.shape(), 1.0f, gpu);
+
+  const gpusim::MemoryStats before = gpu.stats();
+  backward(y, seed);
+  const gpusim::MemoryStats after = gpu.stats();
+  const std::size_t x_bytes = 4 * 32 * 128 * sizeof(float);
+  const std::size_t y_bytes = 4 * 32 * 512 * sizeof(float);
+  EXPECT_EQ(after.lifetime_allocs - before.lifetime_allocs, 6u);
+  EXPECT_EQ(after.lifetime_bytes - before.lifetime_bytes,
+            2 * y_bytes + 4 * x_bytes);
+  for (const Tensor& p : {gamma, beta, w, b}) {
+    EXPECT_FALSE(p.grad().defined());
+  }
+  ASSERT_TRUE(x.grad().defined());
+}
+
+TEST_F(FrozenBackward, InputGradBitIdenticalFrozenOrTrainable) {
+  struct WidthGuard {
+    ~WidthGuard() { util::ThreadPool::instance().set_num_threads(1); }
+  } guard;
+  gpusim::Device& gpu = make_gpu("g0", 64u << 20);
+  for (int width : {1, 2, 4}) {
+    util::ThreadPool::instance().set_num_threads(width);
+    std::vector<float> got[2];
+    for (bool trainable : {false, true}) {
+      FrozenGraph g(gpu, trainable);
+      backward(g.forward(), g.seed);
+      got[trainable ? 1 : 0] = g.x.grad().to_vector();
+      EXPECT_EQ(g.w1.grad().defined(), trainable);
+    }
+    ASSERT_EQ(got[0].size(), got[1].size());
+    EXPECT_EQ(std::memcmp(got[0].data(), got[1].data(),
+                          got[0].size() * sizeof(float)),
+              0)
+        << "x.grad depends on whether parameters are frozen, width "
+        << width;
+  }
+}
+
+TEST(GradCheck, MixedFrozenAndTrainableParameters) {
+  // Frozen: gamma, w1, gamma2 (and matmul's left operand c). Trainable:
+  // x, beta, b1, w2, w3 — every need-flag combination of the four ops.
+  FrozenGraph g(host_device(), false);
+  util::Rng rng(23);
+  Tensor c = Tensor::empty({4, 8, 24}, host_device());
+  rng.fill_normal(c.data(), static_cast<std::size_t>(c.numel()), 0.5f);
+  Tensor w3 = random_leaf({24, 8}, rng, host_device());
+  for (Tensor* p : {&g.beta, &g.b1, &g.w2}) p->set_requires_grad(true);
+  check_gradients(
+      [&] { return sum(mul(add(g.forward(), matmul(c, w3)), g.seed)); },
+      {g.x, g.beta, g.b1, g.w2, w3}, 1e-2f, 6e-2f, 4e-3f);
+  for (const Tensor& p : {g.gamma, g.w1, g.gamma2, c}) {
+    EXPECT_FALSE(p.grad().defined());
+  }
 }
 
 // ----- parameterized sweep: composite MLP chains across shapes -----

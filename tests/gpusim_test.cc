@@ -84,6 +84,30 @@ TEST_F(SimGpuTest, PeakTracking) {
   gpu.deallocate(c, 100);
 }
 
+TEST_F(SimGpuTest, ResetPeakReturnsTheLevelItResetTo) {
+  // The profiler takes its base from reset_peak(). Read separately, a free
+  // landing between allocated() and reset_peak() would leave the base above
+  // the new peak and wrap peak - base; the returned level cannot.
+  Device& gpu = make_gpu("g0", 1u << 20);
+  void* held = gpu.allocate(4096);
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop.load()) {
+      void* p = gpu.allocate(65536);
+      gpu.deallocate(p, 65536);
+    }
+  });
+  int violations = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t base = gpu.reset_peak();
+    if (gpu.stats().peak < base || base < 4096u) ++violations;
+  }
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(violations, 0);
+  gpu.deallocate(held, 4096);
+}
+
 TEST_F(SimGpuTest, LifetimeCounters) {
   Device& gpu = make_gpu("g0", 1000);
   void* a = gpu.allocate(10);

@@ -123,6 +123,45 @@ TEST(KernelBitIdentity, MmTnMatchesReferenceForAllBlocksAndWidths) {
   }
 }
 
+TEST(KernelBitIdentity, FlattenedSharedWeightGradMatchesPerBatchLoop) {
+  // A shared-B weight gradient dB = sum_i A_i^T * dC_i is one mm_tn with
+  // contraction depth batch * m: each element still sees one ascending FMA
+  // chain, and C round-trips through memory losslessly between the
+  // per-batch (or per-KC-panel) steps. Depths here straddle KC mid-batch.
+  KernelGuard guard;
+  for (const Shape3& s : kShapes) {
+    for (Index batch : {Index{1}, Index{3}, Index{8}}) {
+      const auto a = random_vec(static_cast<std::size_t>(batch * s.m * s.k),
+                                41);
+      const auto b = random_vec(static_cast<std::size_t>(batch * s.m * s.n),
+                                43);
+      std::vector<float> ref(static_cast<std::size_t>(s.k * s.n), 0.0f);
+      for (Index i = 0; i < batch; ++i) {
+        tensor::kernels::mm_tn_ref(a.data() + i * s.m * s.k,
+                                   b.data() + i * s.m * s.n, ref.data(), s.m,
+                                   s.k, s.n);
+      }
+      for (const BlockConfig& cfg : kConfigs) {
+        tensor::kernels::set_block_config(cfg);
+        for (int width : {1, 2, 4, 8}) {
+          ThreadPool::instance().set_num_threads(width);
+          std::vector<float> c(ref.size(), 0.0f);
+          tensor::kernels::mm_tn(a.data(), b.data(), c.data(), batch * s.m,
+                                 s.k, s.n);
+          expect_same(c, ref, "flattened mm_tn", s);
+          std::vector<float> loop(ref.size(), 0.0f);
+          for (Index i = 0; i < batch; ++i) {
+            tensor::kernels::mm_tn(a.data() + i * s.m * s.k,
+                                   b.data() + i * s.m * s.n, loop.data(), s.m,
+                                   s.k, s.n);
+          }
+          expect_same(loop, ref, "per-batch mm_tn loop", s);
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelBitIdentity, AccumulationIntoNonZeroOutputIsPreserved) {
   KernelGuard guard;
   // C += A*B must add on top of existing values, and the pre-existing

@@ -84,6 +84,26 @@ TEST(SessionBehavior, ReleaseEarlyAlsoReForwards) {
   client->disconnect();
 }
 
+TEST(SessionBehavior, ZeroByteGrantIsReleasedBeforeTheNextRequest) {
+  // A profile window that races another session's free can measure a
+  // demand of 0 bytes. Re-register the first session (client id 0) with
+  // a 0-byte forward demand: its forward grant charges nothing, and
+  // releasing it must still clear the allocation, or the backward request
+  // that follows aborts with "requested while holding an allocation".
+  Rig rig(ServingMode::MenosOnDemand);
+  auto client = rig.client(1);
+  sched::Scheduler& scheduler = rig.server->scheduler();
+  scheduler.unregister_client(0);
+  scheduler.register_client(0, sched::ClientDemands{0, 1u << 20});
+  auto loader = sb_loader(2);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(std::isfinite(client->train_step(loader.next()).loss));
+  }
+  EXPECT_EQ(scheduler.allocated_to(0), 0u);
+  EXPECT_EQ(rig.total_reforwards(), 2u);
+  client->disconnect();
+}
+
 TEST(SessionBehavior, HoldingModesNeverReForward) {
   for (ServingMode mode : {ServingMode::MenosReleaseAfterBackward,
                            ServingMode::MenosPreserveAll,
