@@ -5,6 +5,9 @@
 // calls the pool absorbs — here, the inner device's lifetime_allocs — plus
 // the pool's hit rate and the fragmentation it leaves behind. Wall time is
 // reported too, but on a simulated device both sides are just bookkeeping.
+// The raw metered device keeps freed blocks for the next request of the
+// same byte count, so its steady-state time is a lock and a hash lookup per
+// call, not the host page faults of re-backing every block each round.
 //
 // Emits BENCH_allocator.json (or argv[1]); docs/MEMORY.md explains how to
 // read it.

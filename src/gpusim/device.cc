@@ -4,6 +4,7 @@
 #include <limits>
 #include <new>
 #include <unordered_map>
+#include <vector>
 
 #include "gpusim/audit.h"
 #include "mem/caching_allocator.h"
@@ -11,20 +12,37 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace menos::gpusim {
 namespace {
 
 /// Shared accounting + heap-backed allocation. Host and SimGpu differ only
-/// in whether a capacity is enforced.
+/// in whether a capacity is enforced. Freed blocks wait in an exact-size
+/// idle list for the next request of their byte count, as a GPU keeps its
+/// pages, instead of being re-faulted from the heap every round. They are
+/// invisible to stats() and capacity (docs/MEMORY.md, "Host backing").
 class MeteredDevice final : public Device {
  public:
   MeteredDevice(DeviceKind kind, std::string name, std::size_t capacity)
       : kind_(kind), name_(std::move(name)), capacity_(capacity) {}
 
+  ~MeteredDevice() override {
+    for (const auto& entry : idle_) {
+      for (void* ptr : entry.second) ::operator delete(ptr);
+    }
+  }
+
   DeviceKind kind() const noexcept override { return kind_; }
   const std::string& name() const noexcept override { return name_; }
 
   void* allocate(std::size_t bytes) override {
+    void* ptr = nullptr;
     {
       util::MutexLock lock(mutex_);
       if (capacity_ != 0 && allocated_ + bytes > capacity_) {
@@ -33,14 +51,21 @@ class MeteredDevice final : public Device {
       }
       allocated_ += bytes;
       if (allocated_ > peak_) peak_ = allocated_;
+      if (allocated_ > high_water_) high_water_ = allocated_;
       ++lifetime_allocs_;
       lifetime_bytes_ += bytes;
+      const auto it = idle_.find(bytes);  // never holds 0-byte sentinels
+      if (it != idle_.end() && !it->second.empty()) {
+        ptr = it->second.back();
+        it->second.pop_back();
+        idle_bytes_ -= bytes;
+        ASAN_UNPOISON_MEMORY_REGION(ptr, bytes);
+      }
     }
-    void* ptr = nullptr;
     if (bytes == 0) {
       // Distinct non-null sentinel; operator new(1) is cheap and unique.
       ptr = ::operator new(1);
-    } else {
+    } else if (ptr == nullptr) {
       try {
         ptr = ::operator new(bytes);
       } catch (const std::bad_alloc&) {
@@ -79,6 +104,16 @@ class MeteredDevice final : public Device {
 #endif
       allocated_ -= bytes;
       ++lifetime_frees_;
+      if (bytes != 0 && idle_bytes_ + bytes <= high_water_) {
+        try {
+          idle_[bytes].push_back(ptr);
+          idle_bytes_ += bytes;
+          ASAN_POISON_MEMORY_REGION(ptr, bytes);
+          return;
+        } catch (const std::bad_alloc&) {
+          // No room to record it: release the block instead.
+        }
+      }
     }
     ::operator delete(ptr);
   }
@@ -114,6 +149,11 @@ class MeteredDevice final : public Device {
   std::size_t lifetime_allocs_ MENOS_GUARDED_BY(mutex_) = 0;
   std::size_t lifetime_frees_ MENOS_GUARDED_BY(mutex_) = 0;
   std::size_t lifetime_bytes_ MENOS_GUARDED_BY(mutex_) = 0;
+  // Never reset; idle_bytes_ stays within it.
+  std::size_t high_water_ MENOS_GUARDED_BY(mutex_) = 0;
+  std::unordered_map<std::size_t, std::vector<void*>> idle_
+      MENOS_GUARDED_BY(mutex_);
+  std::size_t idle_bytes_ MENOS_GUARDED_BY(mutex_) = 0;
 #if MENOS_DCHECK_IS_ON
   std::unordered_map<void*, std::size_t> debug_sizes_ MENOS_GUARDED_BY(mutex_);
 #endif

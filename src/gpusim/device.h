@@ -105,7 +105,9 @@ std::string decorator_lock_name(const char* base, const Device* inner);
 int decorator_lock_rank(int base_rank, const Device* inner) noexcept;
 
 /// The host: unlimited capacity, but still metered (swap experiments report
-/// host-side footprints too).
+/// host-side footprints too). Both factories' meters keep freed blocks, up
+/// to their peak of live bytes, for the next request of the same byte
+/// count; no stat and no capacity sees them (docs/MEMORY.md).
 std::unique_ptr<Device> make_host_device(std::string name = "host");
 
 /// A capacity-limited simulated GPU. Set MENOS_CACHING_ALLOC=1 in the

@@ -153,6 +153,135 @@ TEST_F(SimGpuTest, ConcurrentAllocationNeverExceedsCapacity) {
   EXPECT_EQ(gpu.allocated(), 0u);
 }
 
+// ----- Host backing: freed blocks are recycled by exact size --------------
+// Invisible to every stat; these cases pin that, and that the recycled
+// pointers are real reuse (docs/MEMORY.md, "Host backing").
+
+TEST_F(HostDeviceTest, FreedBlockComesBackForTheSameSizeOnly) {
+  // A host device is never pooled, so the meter is what answers here.
+  Device& host = make_host("h");
+  void* a = host.allocate(8192);
+  host.deallocate(a, 8192);
+  // A smaller request must not take the idle 8 KiB block (a heap would
+  // carve it out of the same chunk)...
+  void* b = host.allocate(4096);
+  EXPECT_NE(b, a);
+  // ...and the next request of exactly its size gets it back.
+  void* c = host.allocate(8192);
+  EXPECT_EQ(c, a);
+  host.deallocate(b, 4096);
+  host.deallocate(c, 8192);
+}
+
+TEST_F(SimGpuTest, RecyclingIsInvisibleToEveryStat) {
+  Device& gpu = make_gpu("g0", 10000);
+  void* a = gpu.allocate(1000);
+  void* b = gpu.allocate(2000);
+  gpu.deallocate(a, 1000);
+  void* c = gpu.allocate(1000);  // served from the idle list
+  gpu.deallocate(b, 2000);
+  MemoryStats s = gpu.stats();
+  EXPECT_EQ(s.capacity, 10000u);
+  EXPECT_EQ(s.allocated, 1000u);
+  EXPECT_EQ(s.peak, 3000u);
+  EXPECT_EQ(s.lifetime_allocs, 3u);
+  EXPECT_EQ(s.lifetime_frees, 2u);
+  EXPECT_EQ(s.lifetime_bytes, 4000u);
+  EXPECT_EQ(s.cached, 0u);
+  EXPECT_EQ(s.largest_free_block, 9000u);
+  EXPECT_EQ(gpu.available(), 9000u);
+
+  void* d = gpu.allocate(3000);
+  void* e = gpu.allocate(2000);  // idle again
+  void* z = gpu.allocate(0);     // sentinel, never recycled
+  gpu.deallocate(c, 1000);
+  gpu.deallocate(d, 3000);
+  gpu.deallocate(e, 2000);
+  gpu.deallocate(z, 0);
+  s = gpu.stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.peak, 6000u);
+  EXPECT_EQ(s.lifetime_allocs, 6u);
+  EXPECT_EQ(s.lifetime_frees, 6u);
+  EXPECT_EQ(s.lifetime_bytes, 9000u);
+  EXPECT_EQ(s.cached, 0u);
+  EXPECT_EQ(s.largest_free_block, 10000u);
+  EXPECT_EQ(gpu.reset_peak(), 0u);
+  EXPECT_EQ(gpu.stats().peak, 0u);
+}
+
+TEST_F(SimGpuTest, IdleBlocksNeverCountAgainstCapacity) {
+  constexpr std::size_t kCap = 1u << 20;
+  Device& gpu = make_gpu("g0", kCap);
+  void* whole = gpu.allocate(kCap);
+  gpu.deallocate(whole, kCap);  // kept idle: a full capacity's worth
+  void* h1 = gpu.allocate(kCap / 2);
+  void* h2 = gpu.allocate(kCap / 2);
+  EXPECT_EQ(gpu.allocated(), kCap);
+  EXPECT_THROW(gpu.allocate(1), OutOfMemory);
+  gpu.deallocate(h1, kCap / 2);
+  gpu.deallocate(h2, kCap / 2);
+  void* again = gpu.allocate(kCap);
+  gpu.deallocate(again, kCap);
+  EXPECT_EQ(gpu.allocated(), 0u);
+}
+
+TEST_F(SimGpuTest, CrossThreadReuseKeepsAccountingExact) {
+  // Four threads allocate and free from one shared size set, so blocks
+  // freed on one thread are handed out on another. Each thread stamps its
+  // blocks and checks the stamp before freeing: a block handed to two
+  // owners at once would show as a foreign stamp (and as a race in TSan).
+  Device& gpu = make_gpu("g0", 64u << 20);
+  constexpr std::size_t kSizes[] = {64, 256, 4096, 65536, 262144};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  std::atomic<int> foreign{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto stamp = static_cast<unsigned char>(t + 1);
+      for (int r = 0; r < kRounds; ++r) {
+        void* held[3];
+        std::size_t sizes[3];
+        for (int k = 0; k < 3; ++k) {
+          sizes[k] = kSizes[static_cast<std::size_t>(r + k + t) % 5];
+          held[k] = gpu.allocate(sizes[k]);
+          auto* bytes = static_cast<unsigned char*>(held[k]);
+          bytes[0] = stamp;
+          bytes[sizes[k] - 1] = stamp;
+        }
+        for (int k = 0; k < 3; ++k) {
+          const auto* bytes = static_cast<const unsigned char*>(held[k]);
+          if (bytes[0] != stamp || bytes[sizes[k] - 1] != stamp) ++foreign;
+          gpu.deallocate(held[k], sizes[k]);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(foreign.load(), 0);
+  const MemoryStats s = gpu.stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.lifetime_allocs, std::size_t{kThreads} * kRounds * 3);
+  EXPECT_EQ(s.lifetime_frees, s.lifetime_allocs);
+  EXPECT_EQ(s.cached, 0u);
+}
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(MeteredDeviceDeathTest, ReadingAnIdleBlockIsReported) {
+  // An idle block is poisoned: a read of freed tensor storage is still an
+  // ASan report although the meter keeps the memory.
+  auto host = make_host_device("asan");
+  EXPECT_DEATH(
+      {
+        auto* p = static_cast<volatile unsigned char*>(host->allocate(4096));
+        host->deallocate(const_cast<unsigned char*>(p), 4096);
+        (void)p[17];
+      },
+      "AddressSanitizer");
+}
+#endif
+
 TEST_F(HostDeviceTest, Unlimited) {
   Device& host = make_host();
   EXPECT_EQ(host.kind(), DeviceKind::Host);

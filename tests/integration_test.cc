@@ -6,6 +6,10 @@
 #include <cmath>
 #include <thread>
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
 #include "core/client.h"
 #include "core/server.h"
 #include "net/transport.h"
@@ -460,6 +464,72 @@ TEST(Profiling, DemandsPredictActualPeak) {
                 client.server_backward_bytes() / 4);
   client.disconnect();
   server.stop();
+}
+
+TEST(HostFaults, SteadyTrainingStepsReusePages) {
+  // A real GPU keeps the pages it frees, and so must the simulated one: in
+  // steady training every tensor is a size some earlier step freed, so the
+  // meter's idle list serves it without touching the host heap. A meter
+  // that hands freed blocks back to the heap faults in ~8-10% of the pages
+  // it allocates, every step, because the heap returns them to the kernel.
+  // The verdict is a count, so it is the same on 1 core or many.
+#if !defined(__linux__)
+  GTEST_SKIP() << "ru_minflt is read on Linux only";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer runtime replaces the host heap this counts";
+#else
+  nn::TransformerConfig model;
+  model.family = nn::ModelFamily::Opt;
+  model.vocab_size = 96;
+  model.dim = 128;
+  model.n_layers = 6;
+  model.n_heads = 4;
+  model.ffn_hidden = 512;
+  model.max_seq = 128;
+
+  gpusim::DeviceManager devices(1, 1u << 30);
+  core::ServerConfig config;
+  config.mode = core::ServingMode::MenosOnDemand;
+  config.base_seed = 42;
+  core::Server server(config, devices, model);
+  net::InprocAcceptor acceptor;
+  server.start(acceptor);
+
+  gpusim::DeviceManager client_devices(1, 1u << 30);
+  core::ClientOptions options;
+  options.finetune.client_name = "faults";
+  options.finetune.model = model;
+  options.finetune.batch_size = 4;
+  options.finetune.seq_len = 32;
+  options.finetune.lr = 5e-3f;
+  options.finetune.adapter_seed = 7;
+  options.base_seed = 42;
+  core::Client client(options, acceptor.connect(), client_devices.gpu(0));
+  client.connect();
+  data::CharTokenizer tok;
+  data::DataLoader loader(
+      tok.encode(data::make_wikitext_like(20000, 5).text), 4, 32, 5);
+  for (int i = 0; i < 3; ++i) client.train_step(loader.next());
+
+  const auto minflt = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_minflt);
+  };
+  const double faults_before = minflt();
+  const std::size_t bytes_before = devices.gpu(0).stats().lifetime_bytes;
+  for (int i = 0; i < 20; ++i) client.train_step(loader.next());
+  const double faults = minflt() - faults_before;
+  const double pages =
+      static_cast<double>(devices.gpu(0).stats().lifetime_bytes -
+                          bytes_before) / 4096.0;
+  client.disconnect();
+  server.stop();
+  ASSERT_GT(pages, 0.0);
+  EXPECT_LT(faults, 0.01 * pages)
+      << faults << " minor faults over 20 steps that allocated " << pages
+      << " pages on the server GPU (" << 100.0 * faults / pages << "%)";
+#endif
 }
 
 }  // namespace
