@@ -2,10 +2,11 @@
 // parameters + adapter parameters + optimizer states) as the number of
 // clients grows, vanilla split learning vs Menos.
 //
-// The second half re-measures the same metric on the LIVE server twice —
-// MENOS_CACHING_ALLOC off, then on — and fails (exit 1) unless every byte
-// matches: pooling must not change what the paper measures (ISSUE 3).
-#include <cstdlib>
+// The second half measures the same metric on the LIVE server, once per
+// serving mode, and fails (exit 1) unless the Fig 5 claim holds there: each
+// added client raises MenosOnDemand's persistent bytes by less than it
+// raises VanillaTaskSwap's, and Menos holds fewer bytes at 3 clients.
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -37,7 +38,7 @@ void run_model(const sim::ModelSpec& spec, double paper_reduction_at_4) {
               paper_reduction_at_4, measured);
 }
 
-// ----- live pooling cross-check -----
+// ----- live Fig 5 check -----
 
 nn::TransformerConfig live_model() {
   nn::TransformerConfig c = nn::TransformerConfig::tiny_opt();
@@ -96,33 +97,54 @@ std::vector<LiveSample> live_persistent(core::ServingMode mode, int clients) {
   return out;
 }
 
-/// Returns false on any byte mismatch between pooling off and on.
-bool live_cross_check() {
+/// Persistent bytes that admitting client `n` (0-based, n > 0) added.
+std::size_t added_by(const std::vector<LiveSample>& run, std::size_t n) {
+  return run[n].persistent - run[n - 1].persistent;
+}
+
+/// Returns false unless the live server reproduces the Fig 5 claim.
+bool live_check() {
+  constexpr int kClients = 3;
   std::printf(
-      "\n--- live server: persistent bytes, pooling off vs on ---\n"
-      "%-10s %-8s  %-12s %-12s  %-12s %-12s  %s\n",
-      "mode", "clients", "persist/off", "persist/on", "alloc/off", "alloc/on",
-      "identical");
+      "\n--- live server: persistent bytes per serving mode ---\n"
+      "%-18s %-8s  %-12s %-12s %-12s %-12s\n",
+      "mode", "clients", "persistent", "per-client", "allocated", "peak");
+  const std::vector<LiveSample> menos_live =
+      live_persistent(core::ServingMode::MenosOnDemand, kClients);
+  const std::vector<LiveSample> vanilla_live =
+      live_persistent(core::ServingMode::VanillaTaskSwap, kClients);
+  const auto print_rows = [](core::ServingMode mode,
+                              const std::vector<LiveSample>& run) {
+    for (std::size_t n = 0; n < run.size(); ++n) {
+      char added[24] = "-";
+      if (n > 0) std::snprintf(added, sizeof added, "+%zu", added_by(run, n));
+      std::printf("%-18s %-8zu  %-12zu %-12s %-12zu %-12zu\n",
+                  core::serving_mode_name(mode), n + 1, run[n].persistent,
+                  added, run[n].allocated, run[n].peak);
+    }
+  };
+  print_rows(core::ServingMode::MenosOnDemand, menos_live);
+  print_rows(core::ServingMode::VanillaTaskSwap, vanilla_live);
+
   bool ok = true;
-  for (core::ServingMode mode : {core::ServingMode::MenosOnDemand,
-                                 core::ServingMode::VanillaTaskSwap}) {
-    setenv("MENOS_CACHING_ALLOC", "0", 1);
-    const std::vector<LiveSample> off = live_persistent(mode, 3);
-    setenv("MENOS_CACHING_ALLOC", "1", 1);
-    const std::vector<LiveSample> on = live_persistent(mode, 3);
-    unsetenv("MENOS_CACHING_ALLOC");
-    for (std::size_t n = 0; n < off.size(); ++n) {
-      const bool same = off[n].persistent == on[n].persistent &&
-                        off[n].allocated == on[n].allocated &&
-                        off[n].peak == on[n].peak;
-      ok = ok && same;
-      std::printf("%-10s %-8zu  %-12zu %-12zu  %-12zu %-12zu  %s\n",
-                  core::serving_mode_name(mode), n + 1, off[n].persistent,
-                  on[n].persistent, off[n].allocated, on[n].allocated,
-                  same ? "yes" : "NO");
+  for (std::size_t n = 1; n < menos_live.size(); ++n) {
+    const std::size_t menos_added = added_by(menos_live, n);
+    const std::size_t vanilla_added = added_by(vanilla_live, n);
+    if (menos_added >= vanilla_added) {
+      std::printf("FAIL: client %zu adds %zu B under Menos, %zu B vanilla\n",
+                  n + 1, menos_added, vanilla_added);
+      ok = false;
     }
   }
-  std::printf("pooling changes measured bytes: %s\n", ok ? "no" : "YES (BUG)");
+  const std::size_t menos_at = menos_live.back().persistent;
+  const std::size_t vanilla_at = vanilla_live.back().persistent;
+  if (menos_at >= vanilla_at) {
+    std::printf("FAIL: %d clients hold %zu B under Menos, %zu B vanilla\n",
+                kClients, menos_at, vanilla_at);
+    ok = false;
+  }
+  std::printf("live Fig 5 claim (Menos below vanilla, per client and at %d): "
+              "%s\n", kClients, ok ? "holds" : "BROKEN");
   return ok;
 }
 
@@ -150,5 +172,5 @@ int main() {
       to_gb(llama.server_param_bytes + llama.adapter_opt_bytes +
             llama.bwd_bytes));
 
-  return live_cross_check() ? 0 : 1;
+  return live_check() ? 0 : 1;
 }

@@ -16,7 +16,8 @@
 //   * Jain's fairness index over those per-client slowdowns.
 //
 // Everything is deterministic (virtual time, no host clocks), so the
-// floor check is exact run-to-run. Emits BENCH_hetero.json (or argv[1]).
+// floor check is exact run-to-run and only the JSON's environment block
+// varies by host. Emits BENCH_hetero.json (or argv[1]).
 // With `--check-floor <x>` the process exits 1 unless StragglerAware
 // beats strict FCFS by >= x on mean slowdown at equal-or-better Jain
 // fairness (epsilon 0.01) — the CI regression gate for the
@@ -193,6 +194,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig6_hetero\",\n");
+  menos::bench::write_environment(f);
   std::fprintf(f, "  \"population\": [\n");
   for (std::size_t i = 0; i < pop.size(); ++i) {
     std::fprintf(f,

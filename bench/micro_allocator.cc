@@ -1,51 +1,30 @@
-// Allocator throughput tracker (not a paper figure): mem::CachingAllocator
-// vs the raw metered device on steady-state and churn workloads.
+// Allocator throughput tracker (not a paper figure): the metered device on
+// a steady-state and a churn workload.
 //
-// The number that matters in a real stack is how many cudaMalloc-class
-// calls the pool absorbs — here, the inner device's lifetime_allocs — plus
-// the pool's hit rate and the fragmentation it leaves behind. Wall time is
-// reported too, but on a simulated device both sides are just bookkeeping.
-// The raw metered device keeps freed blocks for the next request of the
-// same byte count, so its steady-state time is a lock and a hash lookup per
-// call, not the host page faults of re-backing every block each round.
+// The meter keeps freed blocks for the next request of the same byte
+// count, so its steady-state time is a lock and a hash lookup per call,
+// not the host page faults of re-backing every block each round. Churn
+// draws sizes at random, so almost no request finds an idle block of its
+// exact size: it is the case exact-size recycling does not serve.
 //
 // Emits BENCH_allocator.json (or argv[1]); docs/MEMORY.md explains how to
 // read it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "gpusim/device.h"
-#include "mem/caching_allocator.h"
 #include "util/rng.h"
 
 namespace {
 
 using menos::gpusim::Device;
-using menos::mem::CachingAllocator;
 
 constexpr std::size_t kCapacity = 64u << 20;
 constexpr int kReps = 3;
-
-/// An unpooled meter regardless of MENOS_CACHING_ALLOC / the compile-time
-/// default — the baseline side must never be pooled, and the cached side
-/// must carry exactly one pooling layer.
-std::unique_ptr<Device> make_plain(const char* name) {
-  const char* saved = std::getenv("MENOS_CACHING_ALLOC");
-  const std::string restore = saved == nullptr ? "" : saved;
-  setenv("MENOS_CACHING_ALLOC", "0", 1);
-  auto device = menos::gpusim::make_sim_gpu(name, kCapacity);
-  if (saved == nullptr) {
-    unsetenv("MENOS_CACHING_ALLOC");
-  } else {
-    setenv("MENOS_CACHING_ALLOC", restore.c_str(), 1);
-  }
-  return device;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -54,7 +33,7 @@ double now_seconds() {
 }
 
 /// Steady-state training loop: the same eight tensor sizes allocated and
-/// freed every round, the regime where a pool should serve ~everything.
+/// freed every round, the regime exact-size recycling serves entirely.
 std::uint64_t steady_state(Device& d) {
   static constexpr std::size_t kSizes[] = {
       16u << 10,        48u << 10, 200u << 10, 512u << 10,
@@ -74,7 +53,7 @@ std::uint64_t steady_state(Device& d) {
 }
 
 /// Randomized churn: interleaved alloc/free with a mixed small/large size
-/// distribution — the regime that creates fragmentation. Deterministic.
+/// distribution, so freed blocks rarely match a later request. Deterministic.
 std::uint64_t churn(Device& d) {
   constexpr int kSteps = 20000;
   constexpr std::size_t kLiveLimit = 24u << 20;
@@ -108,40 +87,21 @@ std::uint64_t churn(Device& d) {
 struct WorkloadResult {
   std::string name;
   std::uint64_t ops = 0;
-  double plain_ms = 0.0;
-  double cached_ms = 0.0;
-  std::uint64_t plain_inner_allocs = 0;
-  std::uint64_t cached_inner_allocs = 0;
-  double hit_rate = 0.0;
-  double fragmentation = 0.0;  // taken at the churn peak, before teardown
-  double cached_mb = 0.0;      // pool bytes held after the workload
+  double ms = 0.0;           // best of kReps
+  std::uint64_t allocs = 0;  // the meter's lifetime_allocs
 };
 
 template <typename Fn>
 WorkloadResult run_workload(const std::string& name, Fn&& fn) {
   WorkloadResult r;
   r.name = name;
-
   for (int rep = 0; rep < kReps; ++rep) {
-    auto plain = make_plain("plain");
+    auto device = menos::gpusim::make_sim_gpu("meter", kCapacity);
     const double t0 = now_seconds();
-    r.ops = fn(*plain);
-    r.plain_ms = rep == 0 ? 1e3 * (now_seconds() - t0)
-                          : std::min(r.plain_ms, 1e3 * (now_seconds() - t0));
-    r.plain_inner_allocs = plain->stats().lifetime_allocs;
-  }
-
-  for (int rep = 0; rep < kReps; ++rep) {
-    CachingAllocator cached(make_plain("cached"));
-    const double t0 = now_seconds();
-    fn(cached);
-    r.cached_ms = rep == 0 ? 1e3 * (now_seconds() - t0)
-                           : std::min(r.cached_ms,
-                                      1e3 * (now_seconds() - t0));
-    r.cached_inner_allocs = cached.inner().stats().lifetime_allocs;
-    r.hit_rate = cached.cache_stats().hit_rate();
-    r.fragmentation = cached.stats().fragmentation();
-    r.cached_mb = static_cast<double>(cached.stats().cached) / (1u << 20);
+    r.ops = fn(*device);
+    const double ms = 1e3 * (now_seconds() - t0);
+    r.ms = rep == 0 ? ms : std::min(r.ms, ms);
+    r.allocs = device->stats().lifetime_allocs;
   }
   return r;
 }
@@ -157,13 +117,9 @@ int main(int argc, char** argv) {
   results.push_back(run_workload("churn", churn));
 
   for (const WorkloadResult& r : results) {
-    std::printf(
-        "%-12s %6llu ops  plain %7.2f ms (%llu inner allocs)  cached "
-        "%7.2f ms (%llu inner allocs)  hit %.1f%%  frag %.3f  pool %.1f MB\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.ops), r.plain_ms,
-        static_cast<unsigned long long>(r.plain_inner_allocs), r.cached_ms,
-        static_cast<unsigned long long>(r.cached_inner_allocs),
-        100.0 * r.hit_rate, r.fragmentation, r.cached_mb);
+    std::printf("%-12s %6llu ops  %7.3f ms  %llu allocs\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.ops), r.ms,
+                static_cast<unsigned long long>(r.allocs));
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -178,18 +134,12 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"workloads\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];
-    std::fprintf(
-        f,
-        "%s    {\"name\": \"%s\", \"ops\": %llu,\n"
-        "     \"plain_ms\": %.3f, \"plain_inner_allocs\": %llu,\n"
-        "     \"cached_ms\": %.3f, \"cached_inner_allocs\": %llu,\n"
-        "     \"hit_rate\": %.4f, \"fragmentation\": %.4f, "
-        "\"cached_mb\": %.2f}",
-        i == 0 ? "" : ",\n", r.name.c_str(),
-        static_cast<unsigned long long>(r.ops), r.plain_ms,
-        static_cast<unsigned long long>(r.plain_inner_allocs), r.cached_ms,
-        static_cast<unsigned long long>(r.cached_inner_allocs), r.hit_rate,
-        r.fragmentation, r.cached_mb);
+    std::fprintf(f,
+                 "%s    {\"name\": \"%s\", \"ops\": %llu, \"ms\": %.3f, "
+                 "\"allocs\": %llu}",
+                 i == 0 ? "" : ",\n", r.name.c_str(),
+                 static_cast<unsigned long long>(r.ops), r.ms,
+                 static_cast<unsigned long long>(r.allocs));
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

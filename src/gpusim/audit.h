@@ -81,7 +81,6 @@ class AuditDevice final : public Device {
   void deallocate(void* ptr, std::size_t bytes) noexcept override;
   MemoryStats stats() const override;
   std::size_t reset_peak() override { return inner_->reset_peak(); }
-  void empty_cache() override { inner_->empty_cache(); }
 
   // ----- auditing introspection -----
 

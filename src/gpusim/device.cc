@@ -1,13 +1,11 @@
 #include "gpusim/device.h"
 
-#include <cstdlib>
 #include <limits>
 #include <new>
 #include <unordered_map>
 #include <vector>
 
 #include "gpusim/audit.h"
-#include "mem/caching_allocator.h"
 #include "util/check.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -127,8 +125,6 @@ class MeteredDevice final : public Device {
     s.lifetime_allocs = lifetime_allocs_;
     s.lifetime_frees = lifetime_frees_;
     s.lifetime_bytes = lifetime_bytes_;
-    // A meter has no placement model: the free capacity is one block.
-    if (capacity_ != 0) s.largest_free_block = capacity_ - allocated_;
     return s;
   }
 
@@ -169,34 +165,6 @@ std::unique_ptr<Device> maybe_audit(std::unique_ptr<Device> device) {
 #endif
 }
 
-/// MENOS_CACHING_ALLOC=0/off/false disables pooling, anything else enables
-/// it; unset falls back to the compile-time default (-DMENOS_CACHING_ALLOC
-/// at configure time). Read per factory call so tests can flip it.
-bool caching_enabled() {
-  const char* raw = std::getenv("MENOS_CACHING_ALLOC");
-  if (raw == nullptr || *raw == '\0') {
-#ifdef MENOS_CACHING_ALLOC_DEFAULT
-    return true;
-#else
-    return false;
-#endif
-  }
-  const std::string v(raw);
-  return !(v == "0" || v == "off" || v == "OFF" || v == "false" ||
-           v == "FALSE");
-}
-
-/// Pooling layer between the client and the capacity meter (never applied
-/// to unlimited host devices — pooling exists to amortize a capacity).
-std::unique_ptr<Device> maybe_cache(std::unique_ptr<Device> device) {
-  if (!caching_enabled()) return device;
-  return mem::make_caching_device(std::move(device));
-}
-
-}  // namespace
-
-namespace {
-
 /// Decorator layers strictly below `inner` (inclusive of `inner` itself
 /// when it is a decorator). A terminal device (meter/host) is depth 0.
 int decorator_depth(const Device* inner) noexcept {
@@ -234,8 +202,8 @@ std::unique_ptr<Device> make_host_device(std::string name) {
 std::unique_ptr<Device> make_sim_gpu(std::string name,
                                      std::size_t capacity_bytes) {
   MENOS_CHECK_MSG(capacity_bytes > 0, "SimGpu capacity must be positive");
-  return maybe_audit(maybe_cache(std::make_unique<MeteredDevice>(
-      DeviceKind::SimGpu, std::move(name), capacity_bytes)));
+  return maybe_audit(std::make_unique<MeteredDevice>(
+      DeviceKind::SimGpu, std::move(name), capacity_bytes));
 }
 
 DeviceManager::DeviceManager(int gpu_count, std::size_t gpu_capacity_bytes)

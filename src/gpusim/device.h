@@ -26,23 +26,6 @@ struct MemoryStats {
   std::size_t lifetime_allocs = 0; ///< number of allocate() calls ever
   std::size_t lifetime_frees = 0;  ///< number of deallocate() calls ever
   std::size_t lifetime_bytes = 0;  ///< sum of all bytes ever allocated
-  /// Bytes held by a pooling layer (mem::CachingAllocator) that serve no
-  /// live allocation but are instantly reusable; 0 on un-pooled devices.
-  std::size_t cached = 0;
-  /// Largest single request the device can satisfy right now. Equals
-  /// capacity - allocated on un-pooled devices (no fragmentation model);
-  /// 0 on unlimited devices, where the notion is meaningless.
-  std::size_t largest_free_block = 0;
-
-  /// External fragmentation in [0, 1): the share of free capacity NOT
-  /// reachable by one maximal allocation. 0 for unlimited or full devices.
-  double fragmentation() const noexcept {
-    if (capacity == 0 || allocated >= capacity) return 0.0;
-    const std::size_t free_total = capacity - allocated;
-    if (largest_free_block >= free_total) return 0.0;
-    return 1.0 - static_cast<double>(largest_free_block) /
-                     static_cast<double>(free_total);
-  }
 };
 
 /// Abstract device. Thread-safe: serving sessions allocate concurrently.
@@ -73,29 +56,21 @@ class Device {
   /// measure the footprint of a single forward/backward pass.
   virtual std::size_t reset_peak() = 0;
 
-  /// Release memory a pooling layer holds without a live allocation back to
-  /// the underlying device. No-op on devices without a cache.
-  virtual void empty_cache() {}
-
   /// Live bytes right now (shorthand for stats().allocated).
   std::size_t allocated() const { return stats().allocated; }
-
-  /// Pooled-but-idle bytes (shorthand for stats().cached).
-  std::size_t cached() const { return stats().cached; }
 
   /// Remaining capacity; SIZE_MAX for unlimited devices.
   std::size_t available() const;
 
   /// The device this one decorates, or nullptr for a terminal device.
-  /// Lets the decorator lock-class helpers below see through
-  /// audit/pooling layers.
+  /// Lets the decorator lock-class helpers below see through audit
+  /// layers.
   virtual const Device* unwrap() const noexcept { return nullptr; }
 };
 
-/// Lock-class naming for decorator devices (AuditDevice, the pooling
-/// CachingAllocator). The same decorator type can legitimately sit at two
-/// depths of one chain — the factory composes audit(cache(meter)) while
-/// tests pool over an already-audited device — and acquisition always
+/// Lock-class naming for decorator devices (AuditDevice). The same
+/// decorator type can legitimately sit at two depths of one chain — tests
+/// audit over an already-audited factory device — and acquisition always
 /// follows the object graph outer -> inner, so each layer needs its own
 /// lock class or the class-level lock-order graph sees a spurious cycle.
 /// The class name gains a ".N" suffix per decorator layer below it, and
@@ -110,11 +85,7 @@ int decorator_lock_rank(int base_rank, const Device* inner) noexcept;
 /// count; no stat and no capacity sees them (docs/MEMORY.md).
 std::unique_ptr<Device> make_host_device(std::string name = "host");
 
-/// A capacity-limited simulated GPU. Set MENOS_CACHING_ALLOC=1 in the
-/// environment (or configure with -DMENOS_CACHING_ALLOC=ON for that
-/// default) to interpose the mem::CachingAllocator pooling layer between
-/// clients and the metered capacity; the audit decorator, when enabled,
-/// stays outermost so it keeps seeing client pointers.
+/// A capacity-limited simulated GPU.
 std::unique_ptr<Device> make_sim_gpu(std::string name, std::size_t capacity_bytes);
 
 /// Cost model for host<->device transfers, used when simulating task swap

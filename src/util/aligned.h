@@ -11,7 +11,8 @@
 //
 // ScratchPool keeps one lazily grown buffer per (thread, slot): packing
 // scratch is reused across kernel invocations with zero steady-state
-// allocation, the same role mem::CachingAllocator plays for tensor storage.
+// allocation, the same role the metered device's idle list plays for
+// tensor storage.
 #pragma once
 
 #include <cstddef>

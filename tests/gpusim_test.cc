@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -30,28 +31,23 @@ TEST_F(SimGpuTest, BasicAccounting) {
   EXPECT_EQ(gpu.allocated(), 0u);
 }
 
-TEST_F(SimGpuTest, LargestFreeBlockAndFragmentation) {
+TEST_F(SimGpuTest, AvailableIsTheWholeFreeCapacity) {
   Device& gpu = make_gpu("g0", 1000);
-  // A plain metered device has no fragmentation model: every free byte is
-  // one contiguous grant away.
-  EXPECT_EQ(gpu.stats().largest_free_block, 1000u);
-  EXPECT_EQ(gpu.stats().fragmentation(), 0.0);
-  EXPECT_EQ(gpu.stats().cached, 0u);
+  // A metered device has no placement model: every free byte is one
+  // contiguous grant away.
+  EXPECT_EQ(gpu.available(), 1000u);
   void* a = gpu.allocate(400);
-  EXPECT_EQ(gpu.stats().largest_free_block, 600u);
-  EXPECT_EQ(gpu.stats().fragmentation(), 0.0);
-  gpu.empty_cache();  // no pooling layer: must be a harmless no-op
+  EXPECT_EQ(gpu.available(), 600u);
   EXPECT_EQ(gpu.allocated(), 400u);
   gpu.deallocate(a, 400);
 }
 
-TEST_F(HostDeviceTest, UnlimitedDeviceHasNoFragmentationNotion) {
+TEST_F(HostDeviceTest, UnlimitedDeviceReportsMaxAvailable) {
   Device& host = make_host("h");
   void* a = host.allocate(4096);
   const MemoryStats s = host.stats();
   EXPECT_EQ(s.capacity, 0u);
-  EXPECT_EQ(s.largest_free_block, 0u);
-  EXPECT_EQ(s.fragmentation(), 0.0);
+  EXPECT_EQ(host.available(), std::numeric_limits<std::size_t>::max());
   host.deallocate(a, 4096);
 }
 
@@ -158,7 +154,6 @@ TEST_F(SimGpuTest, ConcurrentAllocationNeverExceedsCapacity) {
 // pointers are real reuse (docs/MEMORY.md, "Host backing").
 
 TEST_F(HostDeviceTest, FreedBlockComesBackForTheSameSizeOnly) {
-  // A host device is never pooled, so the meter is what answers here.
   Device& host = make_host("h");
   void* a = host.allocate(8192);
   host.deallocate(a, 8192);
@@ -187,8 +182,6 @@ TEST_F(SimGpuTest, RecyclingIsInvisibleToEveryStat) {
   EXPECT_EQ(s.lifetime_allocs, 3u);
   EXPECT_EQ(s.lifetime_frees, 2u);
   EXPECT_EQ(s.lifetime_bytes, 4000u);
-  EXPECT_EQ(s.cached, 0u);
-  EXPECT_EQ(s.largest_free_block, 9000u);
   EXPECT_EQ(gpu.available(), 9000u);
 
   void* d = gpu.allocate(3000);
@@ -204,8 +197,7 @@ TEST_F(SimGpuTest, RecyclingIsInvisibleToEveryStat) {
   EXPECT_EQ(s.lifetime_allocs, 6u);
   EXPECT_EQ(s.lifetime_frees, 6u);
   EXPECT_EQ(s.lifetime_bytes, 9000u);
-  EXPECT_EQ(s.cached, 0u);
-  EXPECT_EQ(s.largest_free_block, 10000u);
+  EXPECT_EQ(gpu.available(), 10000u);
   EXPECT_EQ(gpu.reset_peak(), 0u);
   EXPECT_EQ(gpu.stats().peak, 0u);
 }
@@ -264,7 +256,6 @@ TEST_F(SimGpuTest, CrossThreadReuseKeepsAccountingExact) {
   EXPECT_EQ(s.allocated, 0u);
   EXPECT_EQ(s.lifetime_allocs, std::size_t{kThreads} * kRounds * 3);
   EXPECT_EQ(s.lifetime_frees, s.lifetime_allocs);
-  EXPECT_EQ(s.cached, 0u);
 }
 
 #ifdef __SANITIZE_ADDRESS__

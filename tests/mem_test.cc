@@ -1,244 +1,16 @@
-// Tests for the menos::mem subsystem: the caching (pooling) allocator and
-// the host-offload residency engine (ISSUE 3).
+// Tests for the menos::mem subsystem: the host-offload residency engine.
 #include <cstddef>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gpusim/device.h"
-#include "mem/caching_allocator.h"
 #include "mem/offload_engine.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace menos {
 namespace {
-
-using mem::CachingAllocator;
-
-std::unique_ptr<CachingAllocator> make_allocator(std::string name,
-                                                 std::size_t capacity) {
-  // Pin the factory to the unpooled meter while building the inner device
-  // so these tests exercise exactly one pooling layer even under the CI
-  // leg that exports MENOS_CACHING_ALLOC=1.
-  const char* saved = std::getenv("MENOS_CACHING_ALLOC");
-  const std::string restore = saved == nullptr ? "" : saved;
-  setenv("MENOS_CACHING_ALLOC", "0", 1);
-  auto inner = gpusim::make_sim_gpu(std::move(name), capacity);
-  if (saved == nullptr) {
-    unsetenv("MENOS_CACHING_ALLOC");
-  } else {
-    setenv("MENOS_CACHING_ALLOC", restore.c_str(), 1);
-  }
-  return std::make_unique<CachingAllocator>(std::move(inner));
-}
-
-TEST(CachingAllocatorTest, RoundSizeBuckets) {
-  EXPECT_EQ(CachingAllocator::round_size(0), 0u);
-  EXPECT_EQ(CachingAllocator::round_size(1), 512u);
-  EXPECT_EQ(CachingAllocator::round_size(512), 512u);
-  EXPECT_EQ(CachingAllocator::round_size(513), 1024u);
-  // At and above 1 MiB the bucket is 64 KiB.
-  EXPECT_EQ(CachingAllocator::round_size(1u << 20), 1u << 20);
-  EXPECT_EQ(CachingAllocator::round_size((1u << 20) + 1),
-            (1u << 20) + (64u << 10));
-}
-
-TEST(CachingAllocatorTest, FreedBlockIsReusedWithoutTouchingInner) {
-  auto alloc = make_allocator("reuse", 32u << 20);
-  void* a = alloc->allocate(1000);
-  const auto after_first = alloc->cache_stats();
-  EXPECT_EQ(after_first.misses, 1u);  // first allocation grows a segment
-  alloc->deallocate(a, 1000);
-  void* b = alloc->allocate(900);  // same 1024-byte bucket
-  EXPECT_EQ(a, b);
-  const auto after_second = alloc->cache_stats();
-  EXPECT_EQ(after_second.hits, 1u);
-  EXPECT_EQ(after_second.misses, 1u);
-  EXPECT_EQ(after_second.segments_allocated, 1u);
-  alloc->deallocate(b, 900);
-}
-
-TEST(CachingAllocatorTest, ByteIdenticalAccounting) {
-  // stats().allocated and .peak must report the client's *requested* bytes
-  // — exactly what an unpooled MeteredDevice reports — never the rounded
-  // bucket or segment sizes (the ISSUE 3 acceptance criterion behind the
-  // fig5 byte-identity check).
-  auto alloc = make_allocator("exact", 64u << 20);
-  void* a = alloc->allocate(1000);   // rounds to 1024
-  void* b = alloc->allocate(70000);  // rounds to 70144
-  EXPECT_EQ(alloc->stats().allocated, 71000u);
-  EXPECT_EQ(alloc->stats().peak, 71000u);
-  alloc->deallocate(a, 1000);
-  EXPECT_EQ(alloc->stats().allocated, 70000u);
-  EXPECT_EQ(alloc->stats().peak, 71000u);
-  alloc->reset_peak();
-  EXPECT_EQ(alloc->stats().peak, 70000u);
-  alloc->deallocate(b, 70000);
-  EXPECT_EQ(alloc->stats().allocated, 0u);
-  // The pooling cost is visible only in the cached field.
-  EXPECT_GT(alloc->stats().cached, 0u);
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->stats().cached, 0u);
-  EXPECT_EQ(alloc->inner().allocated(), 0u);
-}
-
-TEST(CachingAllocatorTest, SplitAndCoalesce) {
-  auto alloc = make_allocator("split", 32u << 20);
-  // Carve three neighbors out of one small segment, then free them all:
-  // they must coalesce back into a single block covering the segment,
-  // which empty_cache then returns to the inner device.
-  void* a = alloc->allocate(100 * 1024);
-  void* b = alloc->allocate(100 * 1024);
-  void* c = alloc->allocate(100 * 1024);
-  auto stats = alloc->cache_stats();
-  EXPECT_EQ(stats.segments_allocated, 1u);  // all three share the 2 MiB pool
-  EXPECT_GE(stats.splits, 3u);
-  alloc->deallocate(a, 100 * 1024);
-  alloc->deallocate(c, 100 * 1024);
-  alloc->deallocate(b, 100 * 1024);  // middle last: merges both neighbors
-  stats = alloc->cache_stats();
-  EXPECT_GE(stats.coalesces, 2u);
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->cache_stats().segment_bytes, 0u);
-  EXPECT_EQ(alloc->inner().allocated(), 0u);
-}
-
-TEST(CachingAllocatorTest, OomFlushesIdleSegmentsAndRetries) {
-  auto alloc = make_allocator("oom-retry", 4u << 20);
-  // A freed 1.5 MiB segment holds capacity hostage; a 3 MiB request is too
-  // big for the cached block AND for the remaining inner capacity, so the
-  // allocator must flush the idle segment and retry — pooling never
-  // changes what fits.
-  void* a = alloc->allocate(3u << 19);
-  alloc->deallocate(a, 3u << 19);
-  EXPECT_GT(alloc->stats().cached, 0u);
-  void* b = alloc->allocate(3u << 20);
-  EXPECT_NE(b, nullptr);
-  EXPECT_GE(alloc->cache_stats().segments_released, 1u);
-  alloc->deallocate(b, 3u << 20);
-  // And a genuinely impossible request still throws.
-  EXPECT_THROW(alloc->allocate(8u << 20), OutOfMemory);
-}
-
-TEST(CachingAllocatorTest, SmallSegmentFallsBackToExactSizeOnTinyDevices) {
-  // Capacity below the 2 MiB small-segment size: small requests must fall
-  // back to exact-size segments instead of failing.
-  auto alloc = make_allocator("tiny", 1u << 20);
-  void* a = alloc->allocate(600 * 1024);
-  void* b = alloc->allocate(400 * 1024);
-  EXPECT_EQ(alloc->stats().allocated, 1024000u);
-  alloc->deallocate(a, 600 * 1024);
-  alloc->deallocate(b, 400 * 1024);
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->inner().allocated(), 0u);
-}
-
-TEST(CachingAllocatorTest, ZeroByteAllocationsPassThrough) {
-  auto alloc = make_allocator("zero", 1u << 20);
-  void* a = alloc->allocate(0);
-  void* b = alloc->allocate(0);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);  // unique-sentinel contract preserved
-  EXPECT_EQ(alloc->stats().allocated, 0u);
-  alloc->deallocate(a, 0);
-  alloc->deallocate(b, 0);
-}
-
-TEST(CachingAllocatorTest, FragmentationSurfacesInStats) {
-  auto alloc = make_allocator("frag", 8u << 20);
-  // Alternate live/free 256 KiB blocks inside one segment: free capacity
-  // exists but the largest contiguous block is smaller, so
-  // fragmentation() > 0.
-  std::vector<void*> ptrs;
-  for (int i = 0; i < 8; ++i) ptrs.push_back(alloc->allocate(256 * 1024));
-  for (std::size_t i = 0; i < ptrs.size(); i += 2) {
-    alloc->deallocate(ptrs[i], 256 * 1024);
-  }
-  const gpusim::MemoryStats s = alloc->stats();
-  EXPECT_GT(s.largest_free_block, 0u);
-  EXPECT_GT(s.fragmentation(), 0.0);
-  EXPECT_LT(s.fragmentation(), 1.0);
-  for (std::size_t i = 1; i < ptrs.size(); i += 2) {
-    alloc->deallocate(ptrs[i], 256 * 1024);
-  }
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->stats().fragmentation(), 0.0);
-}
-
-TEST(CachingAllocatorTest, SteadyStateHitRateExceedsNinetyPercent) {
-  // The ISSUE 3 acceptance loop: a steady-state allocation pattern (what a
-  // training iteration looks like) must be served almost entirely from the
-  // pool after warm-up.
-  auto alloc = make_allocator("steady", 256u << 20);
-  const std::size_t sizes[] = {4096,        65536,  1u << 20, 8192,
-                               3u << 20,    300000, 512,      96 * 1024};
-  std::vector<void*> ptrs;
-  for (int round = 0; round < 50; ++round) {
-    for (std::size_t size : sizes) ptrs.push_back(alloc->allocate(size));
-    for (std::size_t i = 0; i < ptrs.size(); ++i) {
-      alloc->deallocate(ptrs[i], sizes[i]);
-    }
-    ptrs.clear();
-  }
-  EXPECT_GT(alloc->cache_stats().hit_rate(), 0.9);
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->inner().allocated(), 0u);
-}
-
-TEST(CachingAllocatorStressTest, RandomizedAllocFreeMatchesExactAccounting) {
-  // Deterministic random alloc/free storm, shadow-accounted in the test:
-  // at every step the pooled device's allocated/peak must equal the sum
-  // of live *requested* bytes and its running maximum — the same numbers
-  // an unpooled MeteredDevice produces. Runs under the ASan/TSan CI legs.
-  auto alloc = make_allocator("stress", 64u << 20);
-  util::Rng rng(0x5eedu);
-
-  struct Live {
-    void* ptr;
-    std::size_t bytes;
-  };
-  std::vector<Live> live;
-  std::size_t live_bytes = 0;
-  std::size_t peak_bytes = 0;
-
-  for (int step = 0; step < 4000; ++step) {
-    const bool do_alloc =
-        live.empty() ||
-        (live_bytes < (24u << 20) && rng.next_below(100) < 55);
-    if (do_alloc) {
-      // Mostly small tensor-ish sizes, occasionally a large activation.
-      std::size_t bytes = rng.next_below(100) < 90
-                              ? 1 + rng.next_below(128 * 1024)
-                              : (1u << 20) + rng.next_below(2u << 20);
-      void* ptr = alloc->allocate(bytes);
-      ASSERT_NE(ptr, nullptr);
-      live.push_back(Live{ptr, bytes});
-      live_bytes += bytes;
-      peak_bytes = std::max(peak_bytes, live_bytes);
-    } else {
-      const std::size_t victim = rng.next_below(live.size());
-      alloc->deallocate(live[victim].ptr, live[victim].bytes);
-      live_bytes -= live[victim].bytes;
-      live[victim] = live.back();
-      live.pop_back();
-    }
-    ASSERT_EQ(alloc->stats().allocated, live_bytes) << "step " << step;
-    ASSERT_EQ(alloc->stats().peak, peak_bytes) << "step " << step;
-  }
-  for (const Live& l : live) alloc->deallocate(l.ptr, l.bytes);
-  EXPECT_EQ(alloc->stats().allocated, 0u);
-  EXPECT_EQ(alloc->stats().peak, peak_bytes);
-  const auto cache = alloc->cache_stats();
-  EXPECT_GT(cache.hit_rate(), 0.5);  // pooling must actually engage
-  alloc->empty_cache();
-  EXPECT_EQ(alloc->stats().cached, 0u);
-  EXPECT_EQ(alloc->inner().allocated(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // OffloadEngine
