@@ -1,14 +1,14 @@
 // Tensor-kernel throughput tracker (not a paper figure): the serial seed
-// matmul and permute kernels vs the tiled / stride-walking kernels in
-// tensor/kernels.h, plus op-level activation/normalization timings, at
-// several pool widths.
+// matmul kernels vs the tiled kernels in tensor/kernels.h, the fused causal
+// attention vs its serial reference, plus op-level activation /
+// normalization timings, at several pool widths.
 //
 // Emits BENCH_tensor_ops.json (or argv[1]) so perf PRs have a tracked
 // trajectory; docs/PERF.md explains how to read it. `--check-floor R` exits
-// 1 unless, at width 1, the 512^3 mm, mm_nt and mm_tn and the attention
-// head-split permute each run at least R times as fast as their seed
-// kernels compiled into this binary (the perf_smoke ctest). A malformed R
-// exits 2.
+// 1 unless, at width 1, the 512^3 mm, mm_nt and mm_tn each run at least R
+// times as fast as their seed kernels compiled into this binary, and the
+// trunk-shape fused attention forward+backward at least R times as fast as
+// its serial reference (the perf_smoke ctest). A malformed R exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +26,6 @@
 namespace {
 
 using menos::tensor::Index;
-using menos::tensor::Shape;
 using menos::tensor::Tensor;
 using menos::util::ThreadPool;
 
@@ -155,44 +154,72 @@ MatmulResult bench_matmul(const std::string& op, RawKernel seed,
   return res;
 }
 
-struct PermuteResult {
-  std::string use;  // which trunk copy this shape stands for
-  Shape shape;
-  std::vector<int> dims;
-  double seed_ms = 0.0;
+struct AttentionResult {
+  std::string use;   // which workload this shape stands for
+  std::string pass;  // "fwd" or "fwd+bwd"
+  menos::tensor::kernels::AttentionShape shape;
+  double ref_ms = 0.0;  // the serial reference kernels
   std::vector<ThreadSample> parallel;
 };
 
-std::string dims_label(const std::vector<int>& dims) {
-  return menos::tensor::shape_to_string(Shape(dims.begin(), dims.end()));
+std::string attention_label(const menos::tensor::kernels::AttentionShape& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "[%lld, %lld, %lld] x %lld heads",
+                static_cast<long long>(s.batch),
+                static_cast<long long>(s.seq),
+                static_cast<long long>(s.heads * s.head_dim),
+                static_cast<long long>(s.heads));
+  return buf;
 }
 
-PermuteResult bench_permute(const std::string& use, const Shape& shape,
-                            const std::vector<int>& dims, int reps) {
-  const auto n = static_cast<std::size_t>(menos::tensor::numel_of(shape));
+/// The fused forward (with P saved, as under grad mode) and, for
+/// "fwd+bwd", the backward of all three operands, vs the same passes of
+/// causal_attention_ref / causal_attention_backward_ref.
+AttentionResult bench_attention(const std::string& use, bool backward,
+                                const menos::tensor::kernels::AttentionShape& s,
+                                int reps) {
+  namespace k = menos::tensor::kernels;
+  const auto q_elems =
+      static_cast<std::size_t>(s.batch * s.seq * s.heads * s.head_dim);
+  const auto kv_elems =
+      static_cast<std::size_t>(s.batch * s.seq * s.kv_heads * s.head_dim);
   menos::util::Rng rng(5);
-  std::vector<float> in(n);
-  std::vector<float> out(n);
-  rng.fill_normal(in.data(), n, 1.0f);
+  std::vector<float> q(q_elems), kk(kv_elems), v(kv_elems), dctx(q_elems);
+  for (std::vector<float>* t : {&q, &kk, &v, &dctx}) {
+    rng.fill_normal(t->data(), t->size(), 1.0f);
+  }
+  std::vector<float> ctx(q_elems), dq(q_elems), dk(kv_elems), dv(kv_elems);
+  std::vector<float> p(static_cast<std::size_t>(s.batch * s.heads * s.seq *
+                                                s.seq));
 
-  PermuteResult res;
+  AttentionResult res;
   res.use = use;
-  res.shape = shape;
-  res.dims = dims;
-  // The seed baseline is permute_ref: the per-element div/mod loop the
-  // stride-walking kernel replaced, kept verbatim as its test oracle.
-  res.seed_ms = 1e3 * time_best(reps, [&] {
-    menos::tensor::kernels::permute_ref(in.data(), out.data(), shape, dims);
+  res.pass = backward ? "fwd+bwd" : "fwd";
+  res.shape = s;
+  res.ref_ms = 1e3 * time_best(reps, [&] {
+    k::causal_attention_ref(q.data(), kk.data(), v.data(), ctx.data(),
+                            p.data(), s);
+    if (backward) {
+      k::causal_attention_backward_ref(q.data(), kk.data(), v.data(),
+                                       p.data(), dctx.data(), dq.data(),
+                                       dk.data(), dv.data(), s);
+    }
   });
   for (int width : bench_widths()) {
     ThreadPool::instance().set_num_threads(width);
-    ThreadSample s;
-    s.threads = width;
-    s.ms = 1e3 * time_best(reps, [&] {
-      menos::tensor::kernels::permute(in.data(), out.data(), shape, dims);
+    ThreadSample sample;
+    sample.threads = width;
+    sample.ms = 1e3 * time_best(reps, [&] {
+      k::causal_attention(q.data(), kk.data(), v.data(), ctx.data(), p.data(),
+                          s);
+      if (backward) {
+        k::causal_attention_backward(q.data(), kk.data(), v.data(), p.data(),
+                                     dctx.data(), dq.data(), dk.data(),
+                                     dv.data(), s);
+      }
     });
-    s.speedup_vs_seed = res.seed_ms / s.ms;
-    res.parallel.push_back(s);
+    sample.speedup_vs_seed = res.ref_ms / sample.ms;
+    res.parallel.push_back(sample);
   }
   ThreadPool::instance().set_num_threads(1);
   return res;
@@ -285,25 +312,21 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Permute on the server trunk's attention copies (batch 4 x seq 32,
-  // 4 heads of 32): the q/k/v head split and ctx merge (contiguous rows),
-  // transpose_last(k) over batch x heads (a strided gather), and the head
-  // split of a 32-client fused batch.
-  std::vector<PermuteResult> permutes;
-  permutes.push_back(
-      bench_permute("head_split", {4, 32, 4, 32}, {0, 2, 1, 3}, 50));
-  permutes.push_back(
-      bench_permute("transpose_last", {16, 32, 32}, {0, 2, 1}, 50));
-  permutes.push_back(
-      bench_permute("fused_head_split", {128, 32, 4, 32}, {0, 2, 1, 3}, 5));
+  // Fused causal attention on the server trunk's shape (batch 4 x seq 32,
+  // 4 heads of 32) and the memory_pressure workload's (batch 2 x seq 16,
+  // 2 heads of 16).
+  const menos::tensor::kernels::AttentionShape trunk{4, 32, 4, 4, 32};
+  const menos::tensor::kernels::AttentionShape pressure{2, 16, 2, 2, 16};
+  std::vector<AttentionResult> attentions;
+  for (bool backward : {false, true}) {
+    attentions.push_back(bench_attention("trunk", backward, trunk, 200));
+    attentions.push_back(
+        bench_attention("memory_pressure", backward, pressure, 500));
+  }
 
-  for (const PermuteResult& r : permutes) {
-    const double floats =
-        static_cast<double>(menos::tensor::numel_of(r.shape));
-    std::printf("permute %-16s %-18s -> %-14s seed %7.3f ms (%.2f ns/float)",
-                r.use.c_str(), menos::tensor::shape_to_string(r.shape).c_str(),
-                dims_label(r.dims).c_str(), r.seed_ms,
-                1e6 * r.seed_ms / floats);
+  for (const AttentionResult& r : attentions) {
+    std::printf("attention %-7s %-15s %-24s ref %7.3f ms", r.pass.c_str(),
+                r.use.c_str(), attention_label(r.shape).c_str(), r.ref_ms);
     for (const ThreadSample& s : r.parallel) {
       std::printf("  | t=%d %.3f ms %.1fx", s.threads, s.ms,
                   s.speedup_vs_seed);
@@ -379,17 +402,20 @@ int main(int argc, char** argv) {
     json_samples(f, r.parallel);
     std::fprintf(f, "}");
   }
-  std::fprintf(f, "\n  ],\n  \"permute_kernels\": [\n");
-  for (std::size_t i = 0; i < permutes.size(); ++i) {
-    const PermuteResult& r = permutes[i];
+  std::fprintf(f, "\n  ],\n  \"attention_kernels\": [\n");
+  for (std::size_t i = 0; i < attentions.size(); ++i) {
+    const AttentionResult& r = attentions[i];
     std::fprintf(f,
-                 "%s    {\"op\": \"permute\", \"use\": \"%s\", \"shape\": "
-                 "\"%s\", \"dims\": \"%s\",\n     \"numel\": %lld, "
-                 "\"seed_serial_ms\": %.4f,\n     \"parallel\": ",
-                 i == 0 ? "" : ",\n", r.use.c_str(),
-                 menos::tensor::shape_to_string(r.shape).c_str(), dims_label(r.dims).c_str(),
-                 static_cast<long long>(menos::tensor::numel_of(r.shape)),
-                 r.seed_ms);
+                 "%s    {\"op\": \"causal_attention\", \"pass\": \"%s\", "
+                 "\"use\": \"%s\",\n     \"batch\": %lld, \"seq\": %lld, "
+                 "\"heads\": %lld, \"kv_heads\": %lld, \"head_dim\": %lld,\n"
+                 "     \"ref_serial_ms\": %.4f,\n     \"parallel\": ",
+                 i == 0 ? "" : ",\n", r.pass.c_str(), r.use.c_str(),
+                 static_cast<long long>(r.shape.batch),
+                 static_cast<long long>(r.shape.seq),
+                 static_cast<long long>(r.shape.heads),
+                 static_cast<long long>(r.shape.kv_heads),
+                 static_cast<long long>(r.shape.head_dim), r.ref_ms);
     json_samples(f, r.parallel);
     std::fprintf(f, "}");
   }
@@ -413,23 +439,26 @@ int main(int argc, char** argv) {
     struct Gate {
       std::string what;
       double ratio;
+      const char* baseline;
     };
     const std::vector<Gate> gates = {
-        {"mm 512^3", matmuls[0].parallel.front().speedup_vs_seed},
-        {"mm_nt 512^3", matmuls[1].parallel.front().speedup_vs_seed},
-        {"mm_tn 512^3", matmuls[2].parallel.front().speedup_vs_seed},
-        {"permute " + menos::tensor::shape_to_string(permutes[0].shape) + " " +
-             dims_label(permutes[0].dims),
-         permutes[0].parallel.front().speedup_vs_seed},
+        {"mm 512^3", matmuls[0].parallel.front().speedup_vs_seed,
+         "seed kernel"},
+        {"mm_nt 512^3", matmuls[1].parallel.front().speedup_vs_seed,
+         "seed kernel"},
+        {"mm_tn 512^3", matmuls[2].parallel.front().speedup_vs_seed,
+         "seed kernel"},
+        {"causal_attention fwd+bwd " + attention_label(attentions[2].shape),
+         attentions[2].parallel.front().speedup_vs_seed, "serial reference"},
     };
     bool ok = true;
     for (const Gate& g : gates) {
       const bool pass = g.ratio >= check_floor;
       std::fprintf(pass ? stdout : stderr,
-                   "%s: %s at width 1 is %.2fx the seed kernel, %s the "
+                   "%s: %s at width 1 is %.2fx the %s, %s the "
                    "--check-floor of %.2fx\n",
                    pass ? "check-floor ok" : "FAIL", g.what.c_str(), g.ratio,
-                   pass ? "at or above" : "below", check_floor);
+                   g.baseline, pass ? "at or above" : "below", check_floor);
       ok = ok && pass;
     }
     if (!ok) return 1;

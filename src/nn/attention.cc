@@ -1,7 +1,5 @@
 #include "nn/attention.h"
 
-#include <cmath>
-
 namespace menos::nn {
 
 CausalSelfAttention::CausalSelfAttention(const std::string& name,
@@ -22,8 +20,7 @@ CausalSelfAttention::CausalSelfAttention(const std::string& name,
                   "query heads " << n_heads
                                  << " not divisible by kv heads "
                                  << n_kv_heads_);
-  head_dim_ = dim / n_heads;
-  const tensor::Index kv_dim = head_dim_ * n_kv_heads_;
+  const tensor::Index kv_dim = dim / n_heads * n_kv_heads_;
   const bool lora = adapter.type == AdapterType::Lora;
   q_ = make_projection(name + ".q", dim, dim, use_bias,
                        lora && adapter.target_q, adapter, source, device,
@@ -60,36 +57,10 @@ tensor::Tensor CausalSelfAttention::forward(const tensor::Tensor& x) {
   MENOS_CHECK_MSG(x.ndim() == 3 && x.dim(2) == dim_,
                   "attention input must be [B, T, " << dim_ << "], got "
                                                     << shape_to_string(x.shape()));
-  const Index b = x.dim(0);
-  const Index t = x.dim(1);
-
-  Tensor q = q_->forward(x);
-  Tensor k = k_->forward(x);
-  Tensor v = v_->forward(x);
-
-  // [B, T, H*D] -> [B, H, T, D]
-  const auto split_heads = [&](const Tensor& m, int heads) {
-    return permute(reshape(m, {b, t, heads, head_dim_}), {0, 2, 1, 3});
-  };
-  q = split_heads(q, n_heads_);
-  k = split_heads(k, n_kv_heads_);
-  v = split_heads(v, n_kv_heads_);
-  if (n_kv_heads_ != n_heads_) {
-    // Grouped-query expansion: each kv head serves repeat consecutive
-    // query heads.
-    const int repeat = n_heads_ / n_kv_heads_;
-    k = repeat_heads(k, repeat);
-    v = repeat_heads(v, repeat);
-  }
-
-  Tensor scores = matmul(q, transpose_last(k));  // [B, H, T, T]
-  scores = scale(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  Tensor attn = causal_masked_softmax(scores);
-  Tensor ctx = matmul(attn, v);  // [B, H, T, D]
-
-  // [B, H, T, D] -> [B, T, C]
-  ctx = reshape(permute(ctx, {0, 2, 1, 3}), {b, t, dim_});
-  return o_->forward(ctx);
+  const Tensor q = q_->forward(x);
+  const Tensor k = k_->forward(x);
+  const Tensor v = v_->forward(x);
+  return o_->forward(causal_attention(q, k, v, n_heads_, n_kv_heads_));
 }
 
 }  // namespace menos::nn

@@ -37,7 +37,6 @@ class CausalSelfAttention final : public Module {
   tensor::Index dim_;
   int n_heads_;
   int n_kv_heads_;
-  tensor::Index head_dim_;
   std::unique_ptr<Linear> q_;
   std::unique_ptr<Linear> k_;
   std::unique_ptr<Linear> v_;

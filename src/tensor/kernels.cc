@@ -1,5 +1,6 @@
-// Cache-blocked packed-panel matmul kernels and the stride-walking permute
-// copy (see kernels.h for the contract, docs/PERF.md for the design).
+// Cache-blocked packed-panel matmul kernels and the fused causal attention
+// built on them (see kernels.h for the contract, docs/PERF.md for the
+// design).
 //
 // Structure, outermost to innermost (the GotoBLAS/BLIS decomposition):
 //
@@ -25,6 +26,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #if defined(__FMA__)
@@ -32,6 +34,7 @@
 #endif
 
 #include "util/aligned.h"
+#include "util/fastmath.h"
 #include "util/thread_pool.h"
 
 namespace menos::tensor::kernels {
@@ -126,8 +129,8 @@ inline Vec vmadd(Vec acc, float a, Vec b) {
 
 // Scratch slots (per thread, util::scratch_floats): 0 = A panels packed by
 // whichever thread runs the row chunk, 1 = the shared B panel packed by
-// the dispatching thread (or by each thread in the self-packing batched
-// path — still its own slot, never shared).
+// the dispatching thread (or by each thread in an attention head's
+// self-packing product — still its own slot, never shared).
 constexpr int kScratchA = 0;
 constexpr int kScratchB = 1;
 
@@ -164,22 +167,27 @@ void pack_a(const float* __restrict__ a, Index lda, bool trans, Index mc,
 
 /// `trans == false`: element (p, j) at b[p * ldb + j] (B row-major).
 /// `trans == true` : element (p, j) at b[j * ldb + p] (B^T view).
+/// A copy, so the loop order is free: each source row is read contiguously
+/// (one memcpy per strip row untransposed), and only a partial strip's
+/// padding lanes are zeroed.
 void pack_b(const float* __restrict__ b, Index ldb, bool trans, Index kc,
             Index nc, float* __restrict__ bp) {
   for (Index j0 = 0; j0 < nc; j0 += kNR) {
     const Index nr = std::min<Index>(kNR, nc - j0);
     if (trans) {
-      for (Index p = 0; p < kc; ++p) {
-        for (Index jj = 0; jj < kNR; ++jj) {
-          bp[p * kNR + jj] = jj < nr ? b[(j0 + jj) * ldb + p] : 0.0f;
-        }
+      for (Index jj = 0; jj < nr; ++jj) {
+        const float* src = b + (j0 + jj) * ldb;
+        for (Index p = 0; p < kc; ++p) bp[p * kNR + jj] = src[p];
       }
     } else {
+      const auto row_bytes = sizeof(float) * static_cast<std::size_t>(nr);
       for (Index p = 0; p < kc; ++p) {
-        const float* src = b + p * ldb + j0;
-        for (Index jj = 0; jj < kNR; ++jj) {
-          bp[p * kNR + jj] = jj < nr ? src[jj] : 0.0f;
-        }
+        std::memcpy(bp + p * kNR, b + p * ldb + j0, row_bytes);
+      }
+    }
+    if (nr < kNR) {
+      for (Index p = 0; p < kc; ++p) {
+        std::fill(bp + p * kNR + nr, bp + (p + 1) * kNR, 0.0f);
       }
     }
     bp += kc * kNR;
@@ -235,29 +243,69 @@ void micro_partial(const float* __restrict__ ap,
 
 // ----- panel drivers -----
 
+/// Which terms of a product the causal mask makes exact zeros, for the
+/// MR-row strip holding output rows [lo, hi). The fused attention's
+/// per-head products name one; every matmul runs kNone.
+enum class Causal {
+  kNone,
+  kColumns,  // C[t, s] is read only for s <= t: columns >= hi are skipped
+  kPrefix,   // A[t, s] is zero for s > t: the contraction stops at hi
+  kSuffix,   // A^T[s, t] is zero for t < s: the contraction starts at lo
+};
+
+/// The steps [*p0, *p1) of the KC panel at `pc` that output rows [lo, hi)
+/// in the column strip starting at `col` need; false when they need none.
+bool causal_steps(Causal mode, Index lo, Index hi, Index col, Index pc,
+                  Index kc, Index* p0, Index* p1) {
+  *p0 = 0;
+  *p1 = kc;
+  switch (mode) {
+    case Causal::kNone:
+      return true;
+    case Causal::kColumns:
+      return col < hi;
+    case Causal::kPrefix:
+      *p1 = std::min(kc, hi - pc);
+      break;
+    case Causal::kSuffix:
+      *p0 = std::max<Index>(0, lo - pc);
+      break;
+  }
+  return *p0 < *p1;
+}
+
 /// Compute C rows [r0, r1) against one pre-packed B panel of `nc` columns
-/// (kc deep). `a` addresses element (i, p) per `at`; `c` points at column 0
-/// of the panel (the jc offset is applied by the caller).
+/// (kc deep) starting at column `jc` and contraction step `pc`. `a`
+/// addresses element (i, p) per `at`, already offset by pc; `c` points at
+/// column jc. Strips and steps `mode` proves zero are skipped; every
+/// computed element still sees one ascending madd chain.
 void panel_rows(const float* a, Index lda, bool at, const float* bpack,
                 float* c, Index ldc, Index r0, Index r1, Index kc, Index nc,
-                Index mc_blk) {
+                Index mc_blk, Causal mode = Causal::kNone, Index jc = 0,
+                Index pc = 0) {
+  Index p0 = 0, p1 = 0;
   for (Index ic = r0; ic < r1; ic += mc_blk) {
     const Index mc = std::min(mc_blk, r1 - ic);
+    if (!causal_steps(mode, ic, ic + mc, jc, pc, kc, &p0, &p1)) continue;
     const Index strips = (mc + kMR - 1) / kMR;
     float* apack = util::scratch_floats(
         kScratchA, static_cast<std::size_t>(strips * kMR * kc));
     pack_a(at ? a + ic : a + ic * lda, lda, at, mc, kc, apack);
     for (Index j0 = 0; j0 < nc; j0 += kNR) {
       const Index nr = std::min<Index>(kNR, nc - j0);
-      const float* bp = bpack + (j0 / kNR) * kc * kNR;
       for (Index i0 = 0; i0 < mc; i0 += kMR) {
         const Index mr = std::min<Index>(kMR, mc - i0);
-        const float* ap = apack + (i0 / kMR) * kc * kMR;
-        float* cp = c + (ic + i0) * ldc + j0;
+        const Index lo = ic + i0;
+        if (!causal_steps(mode, lo, lo + mr, jc + j0, pc, kc, &p0, &p1)) {
+          continue;
+        }
+        const float* ap = apack + (i0 / kMR) * kc * kMR + p0 * kMR;
+        const float* bp = bpack + (j0 / kNR) * kc * kNR + p0 * kNR;
+        float* cp = c + lo * ldc + j0;
         if (mr == kMR && nr == kNR) {
-          micro(ap, bp, cp, ldc, kc);
+          micro(ap, bp, cp, ldc, p1 - p0);
         } else {
-          micro_partial(ap, bp, cp, ldc, kc, mr, nr);
+          micro_partial(ap, bp, cp, ldc, p1 - p0, mr, nr);
         }
       }
     }
@@ -304,13 +352,12 @@ void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
   }
 }
 
-/// Serial single-thread variant computing only C rows [r0, r1), packing
-/// its own B panels into this thread's scratch. Used inside the batched
-/// fan-out, where the parallel_for already runs one level up.
-void gemm_rows_selfpack(const float* a, Index lda, bool at, const float* b,
-                        Index ldb, bool bt, float* c, Index r0, Index r1,
-                        Index K, Index N) {
-  if (r0 >= r1 || K <= 0 || N <= 0) return;
+/// One C[M, N] += A * B on the calling thread with the causal skipping of
+/// `mode`: an attention head's product, packed into this thread's scratch
+/// (the parallel_for runs one level up, over heads).
+void gemm_causal(const float* a, Index lda, bool at, const float* b,
+                 Index ldb, bool bt, float* c, Index ldc, Index M, Index K,
+                 Index N, Causal mode) {
   const BlockConfig blk = block_config();
   for (Index jc = 0; jc < N; jc += blk.nc) {
     const Index nc = std::min(blk.nc, N - jc);
@@ -322,29 +369,10 @@ void gemm_rows_selfpack(const float* a, Index lda, bool at, const float* b,
       pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
              bpack);
       const float* abase = at ? a + pc * lda : a + pc;
-      panel_rows(abase, lda, at, bpack, c + jc, N, r0, r1, kc, nc, blk.mc);
+      panel_rows(abase, lda, at, bpack, c + jc, ldc, 0, M, kc, nc, blk.mc,
+                 mode, jc, pc);
     }
   }
-}
-
-/// Fan a batch of independent products out over one flattened space of
-/// MR-row strips. `fn(bi, i0, i1)` computes output rows [i0, i1) of batch
-/// item bi.
-template <typename Fn>
-void batched_fan_out(Index batch, Index rows, Index k, Index n,
-                     const Fn& fn) {
-  const Index strips = strips_of(rows);  // per batch item
-  util::parallel_for(0, batch * strips, strip_grain(k, n),
-                     [&](Index s0, Index s1) {
-    Index s = s0;
-    while (s < s1) {
-      const Index bi = s / strips;
-      const Index first = s - bi * strips;
-      const Index last = std::min(strips, first + (s1 - s));
-      fn(bi, first * kMR, std::min(rows, last * kMR));
-      s += last - first;
-    }
-  });
 }
 
 }  // namespace
@@ -368,115 +396,178 @@ void mm_tn(const float* a, const float* b, float* c, Index m, Index k,
   gemm(a, k, true, b, n, false, c, k, m, n);
 }
 
-void mm_batched(const float* a, const float* b, float* c, Index batch,
-                Index m, Index k, Index n, bool shared_b) {
-  if (batch <= 0) return;
-  if (shared_b) {
-    // [batch, m, k] x [k, n] is one [batch*m, k] x [k, n] product.
-    mm(a, b, c, batch * m, k, n);
-    return;
-  }
-  if (batch == 1) {
-    mm(a, b, c, m, k, n);
-    return;
-  }
-  batched_fan_out(batch, m, k, n, [&](Index bi, Index i0, Index i1) {
-    gemm_rows_selfpack(a + bi * m * k, k, false, b + bi * k * n, n, false,
-                       c + bi * m * n, i0, i1, k, n);
-  });
-}
-
-void mm_nt_batched(const float* a, const float* b, float* c, Index batch,
-                   Index m, Index n, Index k, bool shared_b) {
-  if (batch <= 0) return;
-  if (shared_b) {
-    mm_nt(a, b, c, batch * m, n, k);
-    return;
-  }
-  if (batch == 1) {
-    mm_nt(a, b, c, m, n, k);
-    return;
-  }
-  batched_fan_out(batch, m, n, k, [&](Index bi, Index i0, Index i1) {
-    gemm_rows_selfpack(a + bi * m * n, n, false, b + bi * k * n, n, true,
-                       c + bi * m * k, i0, i1, n, k);
-  });
-}
-
-void mm_tn_batched(const float* a, const float* b, float* c, Index batch,
-                   Index m, Index k, Index n) {
-  if (batch <= 0) return;
-  if (batch == 1) {
-    mm_tn(a, b, c, m, k, n);
-    return;
-  }
-  batched_fan_out(batch, k, m, n, [&](Index bi, Index p0, Index p1) {
-    gemm_rows_selfpack(a + bi * m * k, k, true, b + bi * m * n, n, false,
-                       c + bi * k * n, p0, p1, m, n);
-  });
-}
-
-// ----- shape kernels -----
+// ----- fused causal attention -----
 
 namespace {
 
-/// Minimum floats per parallel chunk of a copy: ops.cc's kEwGrain, so a
-/// trunk-size permute (16K floats) runs inline and a fused-batch one forks.
-constexpr Index kCopyGrain = Index{1} << 15;
+// Scratch slots of the attention kernels, next to the packing slots that
+// gemm_causal uses: one [T, T] score / dS tile and one [T, D] head-gradient
+// tile per thread.
+constexpr int kScratchScores = 2;
+constexpr int kScratchHead = 3;
+
+void zero_rows(float* c, Index ld, Index rows, Index cols) {
+  for (Index r = 0; r < rows; ++r) {
+    std::fill(c + r * ld, c + r * ld + cols, 0.0f);
+  }
+}
+
+/// Row t of P from row t of S, in place: scale, then max / exp / normalize
+/// over positions 0..t, zeros after. The scale is its own pass so it is
+/// never contracted into the exp argument.
+void causal_softmax_row(float* row, Index t, Index seq, float scale) {
+  const Index valid = t + 1;
+  for (Index j = 0; j < valid; ++j) row[j] *= scale;
+  float mx = row[0];
+  for (Index j = 1; j < valid; ++j) mx = std::max(mx, row[j]);
+  float z = 0.0f;
+  for (Index j = 0; j < valid; ++j) {
+    row[j] = util::fast_exp(row[j] - mx);
+    z += row[j];
+  }
+  const float inv = 1.0f / z;
+  for (Index j = 0; j < valid; ++j) row[j] *= inv;
+  std::fill(row + valid, row + seq, 0.0f);
+}
+
+/// Row t of dS from row t of dP (in `g`, in place) and of P:
+/// dS = P * (dP - <P, dP>) * scale over 0..t, zeros after. The row dot is
+/// a madd chain, the same rounding in every build and in the reference.
+void causal_softmax_grad_row(const float* y, float* g, Index t, Index seq,
+                             float scale) {
+  const Index valid = t + 1;
+  float dot = 0.0f;
+  for (Index j = 0; j < valid; ++j) dot = madd(dot, y[j], g[j]);
+  for (Index j = 0; j < valid; ++j) g[j] = y[j] * (g[j] - dot) * scale;
+  std::fill(g + valid, g + seq, 0.0f);
+}
+
+/// Where one head's operands live: offsets into q/ctx ([B, T, H*D]) and
+/// k/v ([B, T, Hkv*D]), their leading dimensions, and the shared scale.
+struct HeadLayout {
+  Index seq, dim, ldq, ldkv;
+  float scale;
+
+  explicit HeadLayout(const AttentionShape& s)
+      : seq(s.seq),
+        dim(s.head_dim),
+        ldq(s.heads * s.head_dim),
+        ldkv(s.kv_heads * s.head_dim),
+        scale(1.0f / std::sqrt(static_cast<float>(s.head_dim))) {}
+  Index q_offset(Index b, Index h) const { return b * seq * ldq + h * dim; }
+  Index kv_offset(Index b, Index kvh) const {
+    return b * seq * ldkv + kvh * dim;
+  }
+};
+
+/// Heads per parallel chunk: ~2^18 flops, as strip_grain.
+Index head_grain(const AttentionShape& s, Index heads_per_task) {
+  const Index flops = 2 * s.seq * s.seq * s.head_dim * heads_per_task;
+  return std::max<Index>(1, (Index{1} << 18) / std::max<Index>(flops, 1));
+}
 
 }  // namespace
 
-void permute(const float* in, float* out, const Shape& in_shape,
-             const std::vector<int>& dims) {
-  const std::size_t nd = dims.size();
-  if (nd == 0) {  // a scalar holds one element
-    out[0] = in[0];
+void causal_attention(const float* q, const float* k, const float* v,
+                      float* ctx, float* p, const AttentionShape& s) {
+  const HeadLayout L(s);
+  const Index T = L.seq, D = L.dim;
+  const Index group = s.heads / s.kv_heads;
+  util::parallel_for(0, s.batch * s.heads, head_grain(s, 1),
+                     [&](Index h0, Index h1) {
+    float* scores =
+        p != nullptr ? nullptr
+                     : util::scratch_floats(kScratchScores,
+                                            static_cast<std::size_t>(T * T));
+    for (Index bh = h0; bh < h1; ++bh) {
+      const Index b = bh / s.heads, h = bh % s.heads;
+      const Index qo = L.q_offset(b, h), kvo = L.kv_offset(b, h / group);
+      float* prob = p != nullptr ? p + bh * T * T : scores;
+      std::fill(prob, prob + T * T, 0.0f);
+      gemm_causal(q + qo, L.ldq, false, k + kvo, L.ldkv, true, prob, T, T, D,
+                  T, Causal::kColumns);
+      for (Index t = 0; t < T; ++t) {
+        causal_softmax_row(prob + t * T, t, T, L.scale);
+      }
+      zero_rows(ctx + qo, L.ldq, T, D);
+      gemm_causal(prob, T, false, v + kvo, L.ldkv, false, ctx + qo, L.ldq, T,
+                  T, D, Causal::kPrefix);
+    }
+  });
+}
+
+namespace {
+
+/// out[T, D] (+)= A^T B for A a lower-triangular [T, T] tile (dS or P) and
+/// B one head's [T, D] rows: straight into `out` when the kv head serves
+/// one query head, else through `head` scratch and then added, so a group
+/// sums its heads in order as the repeat_heads backward did.
+void add_transposed_product(const float* a, const float* b, Index ldb,
+                            float* out, Index ldo, float* head, Index T,
+                            Index D) {
+  if (head == nullptr) {
+    gemm_causal(a, T, true, b, ldb, false, out, ldo, T, T, D,
+                Causal::kSuffix);
     return;
   }
-  const Index total = numel_of(in_shape);
-  if (total == 0) return;
-
-  // extent[i] / step[i]: the size of output axis i, and how far one step
-  // along it moves in the input.
-  std::vector<Index> in_stride(nd, 1);
-  for (std::size_t i = nd - 1; i > 0; --i) {
-    in_stride[i - 1] = in_stride[i] * in_shape[i];
+  std::fill(head, head + T * D, 0.0f);
+  gemm_causal(a, T, true, b, ldb, false, head, D, T, T, D, Causal::kSuffix);
+  for (Index t = 0; t < T; ++t) {
+    for (Index d = 0; d < D; ++d) out[t * ldo + d] += head[t * D + d];
   }
-  std::vector<Index> extent(nd);
-  std::vector<Index> step(nd);
-  for (std::size_t i = 0; i < nd; ++i) {
-    const auto d = static_cast<std::size_t>(dims[i]);
-    extent[i] = in_shape[d];
-    step[i] = in_stride[d];
-  }
-  const std::size_t outer = nd - 1;  // axes the odometer walks
-  const Index inner = extent[outer];
-  const Index inner_step = step[outer];
+}
 
-  util::parallel_for(0, total / inner, std::max<Index>(1, kCopyGrain / inner),
-                     [&](Index r0, Index r1) {
-    // Odometer over the outer output axes, set to row r0.
-    std::vector<Index> coord(outer, 0);
-    Index src = 0;
-    Index rem = r0;
-    for (std::size_t i = outer; i-- > 0;) {
-      coord[i] = rem % extent[i];
-      rem /= extent[i];
-      src += coord[i] * step[i];
-    }
-    float* dst = out + r0 * inner;
-    for (Index r = r0; r < r1; ++r, dst += inner) {
-      const float* row = in + src;
-      if (inner_step == 1) {
-        std::memcpy(dst, row, sizeof(float) * static_cast<std::size_t>(inner));
-      } else {
-        for (Index j = 0; j < inner; ++j) dst[j] = row[j * inner_step];
-      }
-      for (std::size_t i = outer; i-- > 0;) {  // advance to the next row
-        src += step[i];
-        if (++coord[i] < extent[i]) break;
-        src -= coord[i] * step[i];
-        coord[i] = 0;
+}  // namespace
+
+void causal_attention_backward(const float* q, const float* k,
+                               const float* v, const float* p,
+                               const float* dctx, float* dq, float* dk,
+                               float* dv, const AttentionShape& s) {
+  const HeadLayout L(s);
+  const Index T = L.seq, D = L.dim;
+  const Index group = s.heads / s.kv_heads;
+  const bool need_ds = dq != nullptr || dk != nullptr;
+  const bool need_head = group > 1 && (dk != nullptr || dv != nullptr);
+  // One task per kv-head group: it owns the group's dk/dv rows and each of
+  // its query heads' dq rows, so every output element has one writer.
+  util::parallel_for(0, s.batch * s.kv_heads, head_grain(s, 2 * group),
+                     [&](Index g0, Index g1) {
+    float* ds = need_ds ? util::scratch_floats(
+                              kScratchScores, static_cast<std::size_t>(T * T))
+                        : nullptr;
+    float* head = need_head ? util::scratch_floats(
+                                  kScratchHead, static_cast<std::size_t>(T * D))
+                            : nullptr;
+    for (Index bg = g0; bg < g1; ++bg) {
+      const Index b = bg / s.kv_heads, kvh = bg % s.kv_heads;
+      const Index kvo = L.kv_offset(b, kvh);
+      if (dk != nullptr) zero_rows(dk + kvo, L.ldkv, T, D);
+      if (dv != nullptr) zero_rows(dv + kvo, L.ldkv, T, D);
+      for (Index h = kvh * group; h < (kvh + 1) * group; ++h) {
+        const Index qo = L.q_offset(b, h);
+        const float* prob = p + (b * s.heads + h) * T * T;
+        if (need_ds) {
+          // dP = dctx V^T on the causal columns, then the softmax backward.
+          std::fill(ds, ds + T * T, 0.0f);
+          gemm_causal(dctx + qo, L.ldq, false, v + kvo, L.ldkv, true, ds, T,
+                      T, D, T, Causal::kColumns);
+          for (Index t = 0; t < T; ++t) {
+            causal_softmax_grad_row(prob + t * T, ds + t * T, t, T, L.scale);
+          }
+        }
+        if (dq != nullptr) {
+          zero_rows(dq + qo, L.ldq, T, D);
+          gemm_causal(ds, T, false, k + kvo, L.ldkv, false, dq + qo, L.ldq,
+                      T, T, D, Causal::kPrefix);
+        }
+        if (dk != nullptr) {
+          add_transposed_product(ds, q + qo, L.ldq, dk + kvo, L.ldkv, head, T,
+                                 D);
+        }
+        if (dv != nullptr) {
+          add_transposed_product(prob, dctx + qo, L.ldq, dv + kvo, L.ldkv,
+                                 head, T, D);
+        }
       }
     }
   });
@@ -520,43 +611,120 @@ void mm_tn_ref(const float* a, const float* b, float* c, Index m, Index k,
   }
 }
 
-void permute_ref(const float* in, float* out, const Shape& in_shape,
-                 const std::vector<int>& dims) {
-  const int nd = static_cast<int>(dims.size());
-  Shape out_shape(static_cast<std::size_t>(nd));
-  for (int i = 0; i < nd; ++i) {
-    out_shape[static_cast<std::size_t>(i)] =
-        in_shape[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])];
-  }
-
-  // Strides (row-major).
-  std::vector<Index> in_strides(static_cast<std::size_t>(nd), 1);
-  std::vector<Index> out_strides(static_cast<std::size_t>(nd), 1);
-  for (int i = nd - 2; i >= 0; --i) {
-    in_strides[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(i + 1)] *
-        in_shape[static_cast<std::size_t>(i + 1)];
-    out_strides[static_cast<std::size_t>(i)] =
-        out_strides[static_cast<std::size_t>(i + 1)] *
-        out_shape[static_cast<std::size_t>(i + 1)];
-  }
-
-  const Index total = numel_of(in_shape);
-  std::vector<Index> idx(static_cast<std::size_t>(nd), 0);
-  for (Index flat = 0; flat < total; ++flat) {
-    // Decompose flat input index -> coordinates.
-    Index rem = flat;
-    for (int i = 0; i < nd; ++i) {
-      idx[static_cast<std::size_t>(i)] =
-          rem / in_strides[static_cast<std::size_t>(i)];
-      rem %= in_strides[static_cast<std::size_t>(i)];
+MENOS_SCALAR_ONLY
+void causal_attention_ref(const float* q, const float* k, const float* v,
+                          float* ctx, float* p, const AttentionShape& s) {
+  const HeadLayout L(s);
+  const Index T = L.seq, D = L.dim;
+  const Index group = s.heads / s.kv_heads;
+  for (Index b = 0; b < s.batch; ++b) {
+    for (Index h = 0; h < s.heads; ++h) {
+      const float* qh = q + L.q_offset(b, h);
+      const float* kh = k + L.kv_offset(b, h / group);
+      const float* vh = v + L.kv_offset(b, h / group);
+      float* ch = ctx + L.q_offset(b, h);
+      float* ph = p + (b * s.heads + h) * T * T;
+      for (Index t = 0; t < T; ++t) {
+        float* row = ph + t * T;
+        for (Index u = 0; u <= t; ++u) {
+          float acc = 0.0f;
+          for (Index d = 0; d < D; ++d) {
+            acc = madd(acc, qh[t * L.ldq + d], kh[u * L.ldkv + d]);
+          }
+          row[u] = acc * L.scale;
+        }
+        float mx = row[0];
+        for (Index u = 1; u <= t; ++u) mx = std::max(mx, row[u]);
+        float z = 0.0f;
+        for (Index u = 0; u <= t; ++u) {
+          row[u] = util::fast_exp(row[u] - mx);
+          z += row[u];
+        }
+        const float inv = 1.0f / z;
+        for (Index u = 0; u <= t; ++u) row[u] *= inv;
+        for (Index u = t + 1; u < T; ++u) row[u] = 0.0f;
+        for (Index d = 0; d < D; ++d) {
+          float acc = 0.0f;
+          for (Index u = 0; u <= t; ++u) {
+            acc = madd(acc, row[u], vh[u * L.ldkv + d]);
+          }
+          ch[t * L.ldq + d] = acc;
+        }
+      }
     }
-    Index out_flat = 0;
-    for (int i = 0; i < nd; ++i) {
-      out_flat += idx[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])] *
-                  out_strides[static_cast<std::size_t>(i)];
+  }
+}
+
+MENOS_SCALAR_ONLY
+void causal_attention_backward_ref(const float* q, const float* k,
+                                   const float* v, const float* p,
+                                   const float* dctx, float* dq, float* dk,
+                                   float* dv, const AttentionShape& s) {
+  const HeadLayout L(s);
+  const Index T = L.seq, D = L.dim;
+  const Index group = s.heads / s.kv_heads;
+  float* ds = util::scratch_floats(kScratchScores,
+                                  static_cast<std::size_t>(T * T));
+  // out[u, d] of one head's A^T B over t >= u, stored (one query head per
+  // kv head) or added in head order (a group).
+  const auto transposed_product = [&](const float* a, const float* bm,
+                                      Index ldb, float* out) {
+    for (Index u = 0; u < T; ++u) {
+      for (Index d = 0; d < D; ++d) {
+        float acc = 0.0f;
+        for (Index t = u; t < T; ++t) {
+          acc = madd(acc, a[t * T + u], bm[t * ldb + d]);
+        }
+        float& o = out[u * L.ldkv + d];
+        o = group > 1 ? o + acc : acc;
+      }
     }
-    out[out_flat] = in[flat];
+  };
+  for (Index b = 0; b < s.batch; ++b) {
+    for (Index kvh = 0; kvh < s.kv_heads; ++kvh) {
+      const float* kh = k + L.kv_offset(b, kvh);
+      const float* vh = v + L.kv_offset(b, kvh);
+      if (dk != nullptr) zero_rows(dk + L.kv_offset(b, kvh), L.ldkv, T, D);
+      if (dv != nullptr) zero_rows(dv + L.kv_offset(b, kvh), L.ldkv, T, D);
+      for (Index h = kvh * group; h < (kvh + 1) * group; ++h) {
+        const float* qh = q + L.q_offset(b, h);
+        const float* gh = dctx + L.q_offset(b, h);
+        const float* ph = p + (b * s.heads + h) * T * T;
+        for (Index t = 0; t < T; ++t) {
+          const float* y = ph + t * T;
+          float* g = ds + t * T;
+          for (Index u = 0; u <= t; ++u) {
+            float acc = 0.0f;
+            for (Index d = 0; d < D; ++d) {
+              acc = madd(acc, gh[t * L.ldq + d], vh[u * L.ldkv + d]);
+            }
+            g[u] = acc;
+          }
+          float dot = 0.0f;
+          for (Index u = 0; u <= t; ++u) dot = madd(dot, y[u], g[u]);
+          for (Index u = 0; u <= t; ++u) g[u] = y[u] * (g[u] - dot) * L.scale;
+          for (Index u = t + 1; u < T; ++u) g[u] = 0.0f;
+        }
+        if (dq != nullptr) {
+          float* dqh = dq + L.q_offset(b, h);
+          for (Index t = 0; t < T; ++t) {
+            for (Index d = 0; d < D; ++d) {
+              float acc = 0.0f;
+              for (Index u = 0; u <= t; ++u) {
+                acc = madd(acc, ds[t * T + u], kh[u * L.ldkv + d]);
+              }
+              dqh[t * L.ldq + d] = acc;
+            }
+          }
+        }
+        if (dk != nullptr) {
+          transposed_product(ds, qh, L.ldq, dk + L.kv_offset(b, kvh));
+        }
+        if (dv != nullptr) {
+          transposed_product(ph, gh, L.ldq, dv + L.kv_offset(b, kvh));
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Raw row-major kernels behind the tensor ops: the matmul products behind
-// tensor::matmul and its backward, and the axis-permutation copy behind
-// tensor::permute (the attention head split / merge and transpose_last).
+// tensor::matmul and its backward, and the fused causal attention behind
+// tensor::causal_attention.
 //
 // The three products are cache-blocked packed-panel loops (GotoBLAS
 // structure): operand panels are staged into contiguous aligned scratch
@@ -17,11 +17,11 @@
 // *_ref kernels below are plain serial loops with that same per-element
 // order, compiled in the same translation unit (hence with the same FP
 // contraction); tests assert the blocked kernels match them byte-for-byte.
-// The permute kernel does no arithmetic, so its output is the same bytes at
-// any width by construction; permute_ref is its oracle all the same.
+// The fused attention kernels run their per-head products on the same
+// micro-kernel, one thread per head (or per kv-head group in the backward),
+// and causal_attention_ref / causal_attention_backward_ref are their
+// oracles.
 #pragma once
-
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -38,35 +38,37 @@ void mm_nt(const float* a, const float* b, float* c, Index m, Index n,
 void mm_tn(const float* a, const float* b, float* c, Index m, Index k,
            Index n);
 
-// ----- batched forms -----
+// ----- fused causal attention -----
 //
-// One parallel region spans batch * rows output rows, so deep batches of
-// small matrices (attention heads) saturate the pool as well as one large
-// product. Per-element reduction order is identical to looping the 2-D
-// kernels over the batch serially.
+// q is [B, T, H*D] and k, v are [B, T, Hkv*D]: the projection outputs,
+// each head addressed in place (leading dimension H*D or Hkv*D). Query
+// head h reads kv head h / (H / Hkv), the grouped-query sharing. Per head:
+// S = Q K^T, P = causal_softmax(S / sqrt(D)), ctx = P V. Products skip the
+// terms the causal mask makes exact zeros, which leaves every sum's value
+// unchanged (docs/PERF.md).
 
-/// C[bi] += A[bi] * B  (shared_b) or A[bi] * B[bi]; A is [batch, m, k].
-void mm_batched(const float* a, const float* b, float* c, Index batch,
-                Index m, Index k, Index n, bool shared_b);
+/// heads, kv_heads and head_dim are positive, heads a multiple of kv_heads.
+struct AttentionShape {
+  Index batch = 0;
+  Index seq = 0;
+  Index heads = 0;
+  Index kv_heads = 0;
+  Index head_dim = 0;
+};
 
-/// C[bi][m,k] += A[bi][m,n] * (B or B[bi])[k,n]^T.
-void mm_nt_batched(const float* a, const float* b, float* c, Index batch,
-                   Index m, Index n, Index k, bool shared_b);
+/// ctx [B, T, H*D] = the heads' P V, overwritten. `p`, when non-null,
+/// receives P as [B, H, T, T] (zeros above the diagonal) for the backward;
+/// when null P lives in thread scratch only.
+void causal_attention(const float* q, const float* k, const float* v,
+                      float* ctx, float* p, const AttentionShape& s);
 
-/// C[bi][k,n] += A[bi][m,k]^T * B[bi][m,n]. (A shared-B gradient sums
-/// over the batch: that is one mm_tn with contraction depth batch * m.)
-void mm_tn_batched(const float* a, const float* b, float* c, Index batch,
-                   Index m, Index k, Index n);
-
-// ----- shape kernels -----
-
-/// out = in with its axes permuted: output axis i is input axis dims[i].
-/// `in_shape` is the input's shape (rank 0 allowed), `dims` a permutation
-/// of [0, rank). Walks the output in row-major order; each innermost row is
-/// one memcpy when it is contiguous in the input, a strided gather
-/// otherwise. Rows are spread over util::ThreadPool.
-void permute(const float* in, float* out, const Shape& in_shape,
-             const std::vector<int>& dims);
+/// Gradients from the saved P and the upstream dctx [B, T, H*D]. A null
+/// dq/dk/dv is not computed; the others are overwritten. A kv head's dk/dv
+/// sums its query heads' contributions in head order.
+void causal_attention_backward(const float* q, const float* k,
+                               const float* v, const float* p,
+                               const float* dctx, float* dq, float* dk,
+                               float* dv, const AttentionShape& s);
 
 // ----- serial reference kernels -----
 //
@@ -79,9 +81,14 @@ void mm_nt_ref(const float* a, const float* b, float* c, Index m, Index n,
                Index k);
 void mm_tn_ref(const float* a, const float* b, float* c, Index m, Index k,
                Index n);
-/// Per element: decompose the flat input index by division, then scatter.
-void permute_ref(const float* in, float* out, const Shape& in_shape,
-                 const std::vector<int>& dims);
+/// Per (batch, head, row): each product element is one madd chain over
+/// the causal range, ascending; `p` is required.
+void causal_attention_ref(const float* q, const float* k, const float* v,
+                          float* ctx, float* p, const AttentionShape& s);
+void causal_attention_backward_ref(const float* q, const float* k,
+                                   const float* v, const float* p,
+                                   const float* dctx, float* dq, float* dk,
+                                   float* dv, const AttentionShape& s);
 
 // ----- cache-blocking configuration -----
 

@@ -388,55 +388,6 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
   return out;
 }
 
-namespace {
-
-/// Raw permutation copy: out[perm(index)] = in[index].
-Tensor permute_copy(const Tensor& a, const std::vector<int>& dims) {
-  Shape out_shape(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    out_shape[i] = a.shape()[static_cast<std::size_t>(dims[i])];
-  }
-  Tensor out = Tensor::empty(std::move(out_shape), a.device());
-  kernels::permute(a.data(), out.data(), a.shape(), dims);
-  return out;
-}
-
-}  // namespace
-
-Tensor permute(const Tensor& a, const std::vector<int>& dims) {
-  check_defined(a, "permute");
-  MENOS_CHECK_MSG(static_cast<int>(dims.size()) == a.ndim(),
-                  "permute: axis list size " << dims.size() << " != ndim "
-                                             << a.ndim());
-  std::vector<bool> seen(dims.size(), false);
-  for (int d : dims) {
-    MENOS_CHECK_MSG(d >= 0 && d < a.ndim() && !seen[static_cast<std::size_t>(d)],
-                    "permute: invalid axis permutation");
-    seen[static_cast<std::size_t>(d)] = true;
-  }
-  Tensor out = permute_copy(a, dims);
-  if (should_record({a})) {
-    std::vector<int> inverse(dims.size());
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-      inverse[static_cast<std::size_t>(dims[i])] = static_cast<int>(i);
-    }
-    attach_node(out, "permute", {a}, [inverse](const Tensor& g) {
-      return std::vector<Tensor>{permute_copy(g, inverse)};
-    });
-  }
-  return out;
-}
-
-Tensor transpose_last(const Tensor& a) {
-  check_defined(a, "transpose_last");
-  MENOS_CHECK_MSG(a.ndim() >= 2, "transpose_last needs ndim >= 2");
-  std::vector<int> dims(static_cast<std::size_t>(a.ndim()));
-  for (int i = 0; i < a.ndim(); ++i) dims[static_cast<std::size_t>(i)] = i;
-  std::swap(dims[static_cast<std::size_t>(a.ndim() - 1)],
-            dims[static_cast<std::size_t>(a.ndim() - 2)]);
-  return permute(a, dims);
-}
-
 Tensor concat_dim1(const Tensor& a, const Tensor& b) {
   check_defined(a, "concat_dim1");
   check_defined(b, "concat_dim1");
@@ -531,91 +482,27 @@ Tensor tile_batch(const Tensor& prefix, Index batch) {
   return out;
 }
 
-Tensor repeat_heads(const Tensor& t, int repeat) {
-  check_defined(t, "repeat_heads");
-  MENOS_CHECK_MSG(t.ndim() == 4,
-                  "repeat_heads expects [B, H, T, D], got ndim " << t.ndim());
-  MENOS_CHECK_MSG(repeat >= 1, "repeat_heads: repeat must be >= 1");
-  if (repeat == 1) return t;
-  const Index batch = t.dim(0), heads = t.dim(1), seq = t.dim(2),
-              d = t.dim(3);
-  Tensor out = Tensor::empty({batch, heads * repeat, seq, d}, t.device());
-  const float* src = t.data();
-  float* dst = out.data();
-  const Index block = seq * d;
-  for (Index bi = 0; bi < batch; ++bi) {
-    for (Index h = 0; h < heads; ++h) {
-      const float* s = src + (bi * heads + h) * block;
-      for (Index r = 0; r < repeat; ++r) {
-        float* o = dst + ((bi * heads + h) * repeat + r) * block;
-        std::memcpy(o, s, static_cast<std::size_t>(block) * sizeof(float));
-      }
-    }
-  }
-  if (should_record({t})) {
-    attach_node(out, "repeat_heads", {t},
-                [batch, heads, seq, d, repeat](const Tensor& g) {
-                  Tensor dt = Tensor::zeros({batch, heads, seq, d},
-                                            g.device());
-                  const Index block = seq * d;
-                  const float* pg = g.data();
-                  float* pd = dt.data();
-                  for (Index bi = 0; bi < batch; ++bi) {
-                    for (Index h = 0; h < heads; ++h) {
-                      float* acc = pd + (bi * heads + h) * block;
-                      for (Index r = 0; r < repeat; ++r) {
-                        const float* gb =
-                            pg + ((bi * heads + h) * repeat + r) * block;
-                        for (Index i = 0; i < block; ++i) acc[i] += gb[i];
-                      }
-                    }
-                  }
-                  return std::vector<Tensor>{dt};
-                });
-  }
-  return out;
-}
-
 // ----- contractions -----
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_defined(a, "matmul");
   check_defined(b, "matmul");
-  MENOS_CHECK_MSG(a.ndim() >= 2 && b.ndim() >= 2,
-                  "matmul operands need ndim >= 2");
+  MENOS_CHECK_MSG(a.ndim() >= 2 && b.ndim() == 2,
+                  "matmul expects [..., m, k] x [k, n], got "
+                      << shape_to_string(a.shape()) << " x "
+                      << shape_to_string(b.shape()));
   const Shape& sa = a.shape();
-  const Shape& sb = b.shape();
-  const Index m = sa[sa.size() - 2];
-  const Index k = sa[sa.size() - 1];
-  const bool shared_b = b.ndim() == 2;
-  if (shared_b) {
-    MENOS_CHECK_MSG(sb[0] == k, "matmul: inner dims " << k << " vs " << sb[0]);
-  } else {
-    MENOS_CHECK_MSG(a.ndim() == b.ndim(),
-                    "matmul: batched operands must have equal ndim");
-    for (std::size_t i = 0; i + 2 < sa.size(); ++i) {
-      MENOS_CHECK_MSG(sa[i] == sb[i], "matmul: batch dims mismatch at axis "
-                                          << i << ": " << sa[i] << " vs "
-                                          << sb[i]);
-    }
-    MENOS_CHECK_MSG(sb[sb.size() - 2] == k,
-                    "matmul: inner dims " << k << " vs " << sb[sb.size() - 2]);
-  }
-  const Index n = sb[sb.size() - 1];
-  const Index batch = a.numel() / (m * k);
+  const Index k = sa.back();
+  MENOS_CHECK_MSG(b.dim(0) == k,
+                  "matmul: inner dims " << k << " vs " << b.dim(0));
+  const Index n = b.dim(1);
+  // [B..., m, k] x [k, n] is one [rows, k] x [k, n] product.
+  const Index rows = a.numel() / k;
 
-  Shape out_shape(sa.begin(), sa.end() - 2);
-  out_shape.push_back(m);
+  Shape out_shape(sa.begin(), sa.end() - 1);
   out_shape.push_back(n);
   Tensor out = Tensor::zeros(out_shape, a.device());
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // The packed-panel kernels parallelize internally (and flatten the
-  // shared-B case into one big product), so deep batches of small
-  // matrices saturate the pool as well as one large matmul.
-  kernels::mm_batched(pa, pb, po, batch, m, k, n, shared_b);
+  kernels::mm(a.data(), b.data(), out.data(), rows, k, n);
 
   if (should_record({a, b})) {
     Tensor saved_a = a.detach();
@@ -623,27 +510,20 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     const bool need_a = on_tape(a);
     const bool need_b = on_tape(b);
     attach_node(out, "matmul", {a, b},
-                [saved_a, saved_b, m, k, n, batch, shared_b, need_a,
+                [saved_a, saved_b, rows, k, n, need_a,
                  need_b](const Tensor& g) {
                   Tensor da, db;
                   const float* pg = g.data();
                   if (need_a) {
-                    // dA_i = dC_i * B_i^T.
+                    // dA = dC * B^T.
                     da = Tensor::zeros(saved_a.shape(), g.device());
-                    kernels::mm_nt_batched(pg, saved_b.data(), da.data(),
-                                           batch, m, n, k, shared_b);
+                    kernels::mm_nt(pg, saved_b.data(), da.data(), rows, n, k);
                   }
                   if (need_b) {
-                    // dB (+)= A_i^T * dC_i. A shared dB sums over the batch:
-                    // one [batch*m, k]^T x [batch*m, n] product.
+                    // dB = A^T * dC, summed over the leading axes: one
+                    // contraction of depth rows.
                     db = Tensor::zeros(saved_b.shape(), g.device());
-                    if (shared_b) {
-                      kernels::mm_tn(saved_a.data(), pg, db.data(), batch * m,
-                                     k, n);
-                    } else {
-                      kernels::mm_tn_batched(saved_a.data(), pg, db.data(),
-                                             batch, m, k, n);
-                    }
+                    kernels::mm_tn(saved_a.data(), pg, db.data(), rows, k, n);
                   }
                   return std::vector<Tensor>{da, db};
                 });
@@ -679,7 +559,7 @@ Tensor mean(const Tensor& a) {
 
 namespace {
 
-/// Shared softmax backward: ds = y * (dy - sum_j dy_j * y_j) per row.
+/// The softmax backward: ds = y * (dy - sum_j dy_j * y_j) per row.
 std::vector<Tensor> softmax_backward(const Tensor& y, const Tensor& g,
                                      Index row_len) {
   Tensor dx = Tensor::empty(g.shape(), g.device());
@@ -735,44 +615,60 @@ Tensor softmax_lastdim(const Tensor& a) {
   return out;
 }
 
-Tensor causal_masked_softmax(const Tensor& scores) {
-  check_defined(scores, "causal_masked_softmax");
-  MENOS_CHECK_MSG(scores.ndim() >= 2, "causal softmax needs ndim >= 2");
-  const Index t_cols = scores.shape().back();
-  const Index t_rows = scores.shape()[scores.shape().size() - 2];
-  MENOS_CHECK_MSG(t_rows == t_cols,
-                  "causal softmax expects square score blocks, got "
-                      << shape_to_string(scores.shape()));
-  const Index blocks = scores.numel() / (t_rows * t_cols);
-  Tensor out = Tensor::empty(scores.shape(), scores.device());
-  const float* pa = scores.data();
-  float* po = out.data();
-  util::parallel_for(0, blocks * t_rows, rows_grain(t_cols, kMathGrain),
-                     [&](Index lo, Index hi) {
-    for (Index row = lo; row < hi; ++row) {
-      const Index t = row % t_rows;
-      const float* xr = pa + row * t_cols;
-      float* yr = po + row * t_cols;
-      const Index valid = t + 1;  // positions 0..t
-      float mx = xr[0];
-      for (Index j = 1; j < valid; ++j) mx = std::max(mx, xr[j]);
-      float z = 0.0f;
-      for (Index j = 0; j < valid; ++j) {
-        yr[j] = util::fast_exp(xr[j] - mx);
-        z += yr[j];
-      }
-      const float inv = 1.0f / z;
-      for (Index j = 0; j < valid; ++j) yr[j] *= inv;
-      for (Index j = valid; j < t_cols; ++j) yr[j] = 0.0f;
-    }
-  });
-  if (should_record({scores})) {
-    Tensor saved_y = out.detach();
-    attach_node(out, "causal_softmax", {scores},
-                [saved_y, t_cols](const Tensor& g) {
-                  // Masked positions have y == 0, so the generic softmax
-                  // backward already yields zero gradient there.
-                  return softmax_backward(saved_y, g, t_cols);
+Tensor causal_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        int n_heads, int n_kv_heads) {
+  check_defined(q, "causal_attention");
+  check_defined(k, "causal_attention");
+  check_defined(v, "causal_attention");
+  MENOS_CHECK_MSG(q.ndim() == 3 && k.ndim() == 3 && v.ndim() == 3,
+                  "causal_attention expects [B, T, C] operands, got "
+                      << shape_to_string(q.shape()) << ", "
+                      << shape_to_string(k.shape()) << ", "
+                      << shape_to_string(v.shape()));
+  check_same_shape(k, v, "causal_attention");
+  MENOS_CHECK_MSG(n_heads > 0 && n_kv_heads > 0 && n_heads % n_kv_heads == 0,
+                  "causal_attention: query heads " << n_heads
+                      << " not divisible by kv heads " << n_kv_heads);
+  const Index batch = q.dim(0), seq = q.dim(1);
+  MENOS_CHECK_MSG(q.dim(2) > 0 && q.dim(2) % n_heads == 0,
+                  "causal_attention: width " << q.dim(2)
+                      << " not divisible by heads " << n_heads);
+  const Index head_dim = q.dim(2) / n_heads;
+  MENOS_CHECK_MSG(k.dim(0) == batch && k.dim(1) == seq &&
+                      k.dim(2) == n_kv_heads * head_dim,
+                  "causal_attention: k/v " << shape_to_string(k.shape())
+                      << " do not match q " << shape_to_string(q.shape())
+                      << " with " << n_kv_heads << " kv heads");
+  const kernels::AttentionShape s{batch, seq, n_heads, n_kv_heads, head_dim};
+
+  Tensor out = Tensor::empty(q.shape(), q.device());
+  const bool record = should_record({q, k, v});
+  // The only saved activation of its own: P [B, H, T, T]. q/k/v are the
+  // inputs, kept alive by reference.
+  Tensor probs = record ? Tensor::empty({batch, n_heads, seq, seq}, q.device())
+                        : Tensor();
+  kernels::causal_attention(q.data(), k.data(), v.data(), out.data(),
+                            record ? probs.data() : nullptr, s);
+  if (record) {
+    Tensor sq = q.detach(), sk = k.detach(), sv = v.detach();
+    const bool need_q = on_tape(q), need_k = on_tape(k), need_v = on_tape(v);
+    attach_node(out, "causal_attention", {q, k, v},
+                [sq, sk, sv, probs, s, need_q, need_k,
+                 need_v](const Tensor& g) {
+                  const auto grad_for = [&](bool need, const Tensor& like) {
+                    return need ? Tensor::empty(like.shape(), g.device())
+                                : Tensor();
+                  };
+                  Tensor dq = grad_for(need_q, sq);
+                  Tensor dk = grad_for(need_k, sk);
+                  Tensor dv = grad_for(need_v, sv);
+                  const auto ptr = [](Tensor& t) {
+                    return t.defined() ? t.data() : nullptr;
+                  };
+                  kernels::causal_attention_backward(
+                      sq.data(), sk.data(), sv.data(), probs.data(), g.data(),
+                      ptr(dq), ptr(dk), ptr(dv), s);
+                  return std::vector<Tensor>{dq, dk, dv};
                 });
   }
   return out;

@@ -48,12 +48,6 @@ Tensor dropout(const Tensor& a, float p, util::Rng& rng);
 /// Reinterpret the (contiguous) data with a new shape; shares storage.
 Tensor reshape(const Tensor& a, Shape new_shape);
 
-/// Generalized transpose (always copies). `dims` is a permutation of axes.
-Tensor permute(const Tensor& a, const std::vector<int>& dims);
-
-/// Swap the last two axes (copies); precondition ndim >= 2.
-Tensor transpose_last(const Tensor& a);
-
 /// Concatenate two 3-D tensors along axis 1 (the sequence axis).
 Tensor concat_dim1(const Tensor& a, const Tensor& b);
 
@@ -66,18 +60,11 @@ Tensor slice_dim1(const Tensor& a, Index start, Index len);
 /// batch.
 Tensor tile_batch(const Tensor& prefix, Index batch);
 
-/// Repeat the head axis of a [B, H, T, D] tensor `repeat` times:
-/// [B, H, T, D] -> [B, H*repeat, T, D], each source head copied into
-/// `repeat` consecutive output heads; backward sums the copies. The GQA
-/// key/value expansion. repeat == 1 returns the input unchanged.
-Tensor repeat_heads(const Tensor& t, int repeat);
-
 // ----- contractions -----
 
-/// Matrix product with three accepted shape patterns:
+/// Matrix product against a 2-D right operand (a weight):
 ///   [m,k] x [k,n]                  -> [m,n]
-///   [B...,m,k] x [k,n]             -> [B...,m,n]  (shared right operand)
-///   [B...,m,k] x [B...,k,n]        -> [B...,m,n]  (batched both sides)
+///   [B...,m,k] x [k,n]             -> [B...,m,n]
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 // ----- reductions / normalization -----
@@ -91,9 +78,14 @@ Tensor mean(const Tensor& a);
 /// Softmax over the last dimension.
 Tensor softmax_lastdim(const Tensor& a);
 
-/// Softmax over the last dimension of attention scores shaped [..., T, T]
-/// with a causal mask: position (t, s) with s > t contributes zero.
-Tensor causal_masked_softmax(const Tensor& scores);
+/// Multi-head causal self-attention core, one autograd node: q [B, T, H*D]
+/// and k, v [B, T, Hkv*D] (the projection outputs) -> ctx [B, T, H*D],
+/// per head softmax(Q K^T / sqrt(D), causal) V. Query head h attends with
+/// kv head h / (H / Hkv) (grouped-query attention; Hkv == H is MHA). With
+/// grad recording on, saves only P [B, H, T, T]; the backward allocates a
+/// gradient only for the operands on the tape (kernels.h has the layout).
+Tensor causal_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        int n_heads, int n_kv_heads);
 
 /// LayerNorm over the last dimension: gamma/beta are 1-D of that size.
 Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

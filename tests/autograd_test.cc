@@ -165,22 +165,11 @@ TEST(GradCheck, MatmulBatchedSharedRight) {
   check_gradients([&] { return sum(matmul(a, w)); }, {a, w});
 }
 
-TEST(GradCheck, MatmulBatchedBoth) {
-  util::Rng rng(6);
-  Tensor a = random_leaf({2, 2, 3}, rng, host_device());
-  Tensor b = random_leaf({2, 3, 2}, rng, host_device());
-  check_gradients([&] { return sum(matmul(a, b)); }, {a, b});
-}
-
-TEST(GradCheck, ReshapePermute) {
+TEST(GradCheck, Reshape) {
   util::Rng rng(7);
   Tensor a = random_leaf({2, 3, 4}, rng, host_device());
-  check_gradients(
-      [&] {
-        Tensor p = permute(a, {2, 0, 1});
-        return sum(mul(reshape(p, {4, 6}), reshape(p, {4, 6})));
-      },
-      {a});
+  Tensor w = random_leaf({4, 6}, rng, host_device());
+  check_gradients([&] { return sum(mul(reshape(a, {4, 6}), w)); }, {a, w});
 }
 
 TEST(GradCheck, ConcatSlice) {
@@ -203,13 +192,29 @@ TEST(GradCheck, Softmax) {
   check_gradients([&] { return sum(mul(softmax_lastdim(x), weight)); }, {x});
 }
 
-TEST(GradCheck, CausalSoftmax) {
+TEST(GradCheck, CausalAttentionMultiHead) {
   util::Rng rng(10);
-  Tensor x = random_leaf({1, 2, 4, 4}, rng, host_device(), 1.0f);
-  Tensor weight = Tensor::empty({1, 2, 4, 4}, host_device());
-  rng.fill_normal(weight.data(), 32, 1.0f);
-  check_gradients([&] { return sum(mul(causal_masked_softmax(x), weight)); },
-                  {x});
+  Tensor q = random_leaf({2, 5, 6}, rng, host_device(), 1.0f);
+  Tensor k = random_leaf({2, 5, 6}, rng, host_device(), 1.0f);
+  Tensor v = random_leaf({2, 5, 6}, rng, host_device(), 1.0f);
+  Tensor weight = Tensor::empty({2, 5, 6}, host_device());
+  rng.fill_normal(weight.data(), 60, 1.0f);
+  check_gradients(
+      [&] { return sum(mul(causal_attention(q, k, v, 2, 2), weight)); },
+      {q, k, v});
+}
+
+TEST(GradCheck, CausalAttentionGroupedQuery) {
+  // Four query heads share two kv heads: dk/dv sum over each group.
+  util::Rng rng(16);
+  Tensor q = random_leaf({2, 4, 8}, rng, host_device(), 1.0f);
+  Tensor k = random_leaf({2, 4, 4}, rng, host_device(), 1.0f);
+  Tensor v = random_leaf({2, 4, 4}, rng, host_device(), 1.0f);
+  Tensor weight = Tensor::empty({2, 4, 8}, host_device());
+  rng.fill_normal(weight.data(), 64, 1.0f);
+  check_gradients(
+      [&] { return sum(mul(causal_attention(q, k, v, 4, 2), weight)); },
+      {q, k, v});
 }
 
 TEST(GradCheck, LayerNorm) {
@@ -316,6 +321,47 @@ TEST_F(FrozenBackward, AllocatesOnlyOnTapeGradients) {
     EXPECT_FALSE(p.grad().defined());
   }
   ASSERT_TRUE(x.grad().defined());
+}
+
+TEST_F(FrozenBackward, AttentionAllocatesOutputProbsAndOnTapeGradients) {
+  // causal_attention on the trunk shape [4, 32, 128], 4 heads: a grad-mode
+  // forward allocates its output and P [4, 4, 32, 32], nothing else; a
+  // no-grad forward only its output; the backward only the gradients of
+  // operands on the tape (k frozen here gets no dk buffer).
+  gpusim::Device& gpu = make_gpu("g0", 64u << 20);
+  util::Rng rng(24);
+  Tensor q = random_leaf({4, 32, 128}, rng, gpu);
+  Tensor k = Tensor::empty({4, 32, 128}, gpu);
+  rng.fill_normal(k.data(), static_cast<std::size_t>(k.numel()), 1.0f);
+  Tensor v = random_leaf({4, 32, 128}, rng, gpu);
+  const std::size_t act_bytes = 4 * 32 * 128 * sizeof(float);
+  const std::size_t p_bytes = 4 * 4 * 32 * 32 * sizeof(float);
+
+  gpusim::MemoryStats before = gpu.stats();
+  {
+    NoGradGuard no_grad;
+    Tensor out = causal_attention(q, k, v, 4, 4);
+  }
+  gpusim::MemoryStats after = gpu.stats();
+  EXPECT_EQ(after.lifetime_allocs - before.lifetime_allocs, 1u);
+  EXPECT_EQ(after.lifetime_bytes - before.lifetime_bytes, act_bytes);
+
+  before = gpu.stats();
+  Tensor out = causal_attention(q, k, v, 4, 4);
+  after = gpu.stats();
+  EXPECT_EQ(after.lifetime_allocs - before.lifetime_allocs, 2u);
+  EXPECT_EQ(after.lifetime_bytes - before.lifetime_bytes, act_bytes + p_bytes);
+
+  Tensor seed = Tensor::full(out.shape(), 1.0f, gpu);
+  before = gpu.stats();
+  const std::vector<Tensor> grads = out.impl()->grad_fn->run_backward(seed);
+  after = gpu.stats();
+  ASSERT_EQ(grads.size(), 3u);
+  EXPECT_TRUE(grads[0].defined());
+  EXPECT_FALSE(grads[1].defined());
+  EXPECT_TRUE(grads[2].defined());
+  EXPECT_EQ(after.lifetime_allocs - before.lifetime_allocs, 2u);
+  EXPECT_EQ(after.lifetime_bytes - before.lifetime_bytes, 2 * act_bytes);
 }
 
 TEST_F(FrozenBackward, InputGradBitIdenticalFrozenOrTrainable) {

@@ -1,7 +1,8 @@
 // The packed-panel matmul kernels' determinism contract: blocked output ==
 // serial reference, BIT-identical, for every block configuration, thread
-// count, and awkward shape; the permute copy == its per-element reference
-// for every rank and width — plus the fastmath accuracy bounds.
+// count, and awkward shape; the fused causal attention forward and backward
+// == their scalar references on the same terms — plus the fastmath accuracy
+// bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,149 +181,103 @@ TEST(KernelBitIdentity, AccumulationIntoNonZeroOutputIsPreserved) {
   }
 }
 
-TEST(KernelBitIdentity, BatchedFormsMatchPerMatrixCalls) {
-  KernelGuard guard;
-  const Index batch = 5, m = 9, k = 26, n = 33;
-  const auto a = random_vec(static_cast<std::size_t>(batch * m * k), 41);
-  const auto bs = random_vec(static_cast<std::size_t>(batch * k * n), 43);
-  const auto b1 = random_vec(static_cast<std::size_t>(k * n), 47);
+// ----- fused causal attention == scalar reference -----
 
-  for (bool shared : {false, true}) {
-    const float* bp = shared ? b1.data() : bs.data();
-    std::vector<float> ref(static_cast<std::size_t>(batch * m * n), 0.0f);
-    for (Index i = 0; i < batch; ++i) {
-      tensor::kernels::mm_ref(a.data() + i * m * k,
-                              shared ? bp : bp + i * k * n,
-                              ref.data() + i * m * n, m, k, n);
+using tensor::kernels::AttentionShape;
+
+/// (B, T, H, Hkv, D): the trunk shape, the memory_pressure shape, a
+/// sequence longer than one default column strip, grouped-query groups of
+/// 2 and 8, T below one register tile, and D past one strip.
+const AttentionShape kAttentionShapes[] = {
+    {4, 32, 4, 4, 32}, {2, 16, 2, 2, 16}, {4, 64, 4, 4, 16},
+    {3, 37, 4, 2, 20}, {1, 33, 8, 1, 8},  {2, 5, 2, 2, 3},
+    {2, 17, 3, 3, 48},
+};
+
+struct AttentionBuffers {
+  std::vector<float> ctx, p, dq, dk, dv;
+};
+
+/// Outputs start from a NaN fill, so an element the kernel fails to write
+/// shows as a mismatch.
+AttentionBuffers nan_buffers(const AttentionShape& s) {
+  const float nan = std::nanf("");
+  const auto q_elems = static_cast<std::size_t>(s.batch * s.seq * s.heads *
+                                                s.head_dim);
+  const auto kv_elems = static_cast<std::size_t>(s.batch * s.seq *
+                                                 s.kv_heads * s.head_dim);
+  const auto p_elems =
+      static_cast<std::size_t>(s.batch * s.heads * s.seq * s.seq);
+  return {std::vector<float>(q_elems, nan), std::vector<float>(p_elems, nan),
+          std::vector<float>(q_elems, nan), std::vector<float>(kv_elems, nan),
+          std::vector<float>(kv_elems, nan)};
+}
+
+void expect_bytes(const std::vector<float>& got,
+                  const std::vector<float>& want, const char* what,
+                  const AttentionShape& s, int width) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what << " diverges from the serial reference at B=" << s.batch
+      << " T=" << s.seq << " H=" << s.heads << " Hkv=" << s.kv_heads
+      << " D=" << s.head_dim << " width=" << width;
+}
+
+TEST(KernelBitIdentity, CausalAttentionMatchesReferenceForAllBlocksAndWidths) {
+  KernelGuard guard;
+  namespace k = tensor::kernels;
+  for (const AttentionShape& s : kAttentionShapes) {
+    const auto q_elems = static_cast<std::size_t>(s.batch * s.seq * s.heads *
+                                                  s.head_dim);
+    const auto kv_elems = static_cast<std::size_t>(s.batch * s.seq *
+                                                   s.kv_heads * s.head_dim);
+    const auto q = random_vec(q_elems, 79);
+    const auto kk = random_vec(kv_elems, 83);
+    const auto v = random_vec(kv_elems, 89);
+    const auto dctx = random_vec(q_elems, 97);
+    AttentionBuffers ref = nan_buffers(s);
+    k::causal_attention_ref(q.data(), kk.data(), v.data(), ref.ctx.data(),
+                            ref.p.data(), s);
+    k::causal_attention_backward_ref(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), ref.dq.data(),
+                                     ref.dk.data(), ref.dv.data(), s);
+    for (const BlockConfig& cfg : kConfigs) {
+      k::set_block_config(cfg);
+      for (int width : {1, 2, 4, 8}) {
+        ThreadPool::instance().set_num_threads(width);
+        AttentionBuffers got = nan_buffers(s);
+        k::causal_attention(q.data(), kk.data(), v.data(), got.ctx.data(),
+                            got.p.data(), s);
+        expect_bytes(got.ctx, ref.ctx, "ctx", s, width);
+        expect_bytes(got.p, ref.p, "P", s, width);
+        k::causal_attention_backward(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), got.dq.data(),
+                                     got.dk.data(), got.dv.data(), s);
+        expect_bytes(got.dq, ref.dq, "dq", s, width);
+        expect_bytes(got.dk, ref.dk, "dk", s, width);
+        expect_bytes(got.dv, ref.dv, "dv", s, width);
+
+        // Without P (the no-grad forward) the output is the same bytes,
+        // and each gradient alone is the same bytes as all three together.
+        AttentionBuffers alone = nan_buffers(s);
+        k::causal_attention(q.data(), kk.data(), v.data(), alone.ctx.data(),
+                            nullptr, s);
+        expect_bytes(alone.ctx, ref.ctx, "ctx without P", s, width);
+        k::causal_attention_backward(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(),
+                                     alone.dq.data(), nullptr, nullptr, s);
+        k::causal_attention_backward(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), nullptr,
+                                     alone.dk.data(), nullptr, s);
+        k::causal_attention_backward(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), nullptr,
+                                     nullptr, alone.dv.data(), s);
+        expect_bytes(alone.dq, ref.dq, "dq alone", s, width);
+        expect_bytes(alone.dk, ref.dk, "dk alone", s, width);
+        expect_bytes(alone.dv, ref.dv, "dv alone", s, width);
+      }
     }
-    for (int width : {1, 4}) {
-      ThreadPool::instance().set_num_threads(width);
-      std::vector<float> c(ref.size(), 0.0f);
-      tensor::kernels::mm_batched(a.data(), bp, c.data(), batch, m, k, n,
-                                  shared);
-      ASSERT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
-                0)
-          << "mm_batched shared=" << shared << " width=" << width;
-    }
-  }
-}
-
-TEST(KernelBitIdentity, BatchedTransposedFormsMatchPerMatrixCalls) {
-  KernelGuard guard;
-  const Index batch = 4, m = 11, n = 27, k = 19;
-  const auto a = random_vec(static_cast<std::size_t>(batch * m * n), 53);
-  const auto b = random_vec(static_cast<std::size_t>(batch * k * n), 59);
-  std::vector<float> ref_nt(static_cast<std::size_t>(batch * m * k), 0.0f);
-  for (Index i = 0; i < batch; ++i) {
-    tensor::kernels::mm_nt_ref(a.data() + i * m * n, b.data() + i * k * n,
-                               ref_nt.data() + i * m * k, m, n, k);
-  }
-  std::vector<float> ref_tn(static_cast<std::size_t>(batch * k * n), 0.0f);
-  const auto a2 = random_vec(static_cast<std::size_t>(batch * m * k), 61);
-  const auto g2 = random_vec(static_cast<std::size_t>(batch * m * n), 67);
-  for (Index i = 0; i < batch; ++i) {
-    tensor::kernels::mm_tn_ref(a2.data() + i * m * k, g2.data() + i * m * n,
-                               ref_tn.data() + i * k * n, m, k, n);
-  }
-  for (int width : {1, 4}) {
-    ThreadPool::instance().set_num_threads(width);
-    std::vector<float> c(ref_nt.size(), 0.0f);
-    tensor::kernels::mm_nt_batched(a.data(), b.data(), c.data(), batch, m, n,
-                                   k, /*shared_b=*/false);
-    ASSERT_EQ(
-        std::memcmp(c.data(), ref_nt.data(), c.size() * sizeof(float)), 0)
-        << "mm_nt_batched width=" << width;
-    std::vector<float> ctn(ref_tn.size(), 0.0f);
-    tensor::kernels::mm_tn_batched(a2.data(), g2.data(), ctn.data(), batch, m,
-                                   k, n);
-    ASSERT_EQ(
-        std::memcmp(ctn.data(), ref_tn.data(), ctn.size() * sizeof(float)), 0)
-        << "mm_tn_batched width=" << width;
-  }
-}
-
-// ----- permute: stride-walking copy == per-element reference -----
-
-/// permute() output vs permute_ref(), byte for byte, at pool widths
-/// 1/2/4/8. Outputs start from a sentinel fill with one spare element past
-/// the end, so a skipped element or an overrun shows (and a zero-size
-/// tensor still compares real buffers).
-void expect_permute_matches_ref(const tensor::Shape& shape,
-                                const std::vector<int>& dims) {
-  const auto n = static_cast<std::size_t>(tensor::numel_of(shape));
-  const auto in = random_vec(n + 1, 71);
-  std::vector<float> ref(n + 1, -7.0f);
-  tensor::kernels::permute_ref(in.data(), ref.data(), shape, dims);
-  for (int width : {1, 2, 4, 8}) {
-    ThreadPool::instance().set_num_threads(width);
-    std::vector<float> out(n + 1, -7.0f);
-    tensor::kernels::permute(in.data(), out.data(), shape, dims);
-    ASSERT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)),
-              0)
-        << "permute " << tensor::shape_to_string(shape) << " by "
-        << tensor::shape_to_string(tensor::Shape(dims.begin(), dims.end()))
-        << " diverges at width " << width;
-  }
-}
-
-TEST(KernelBitIdentity, PermuteMatchesReferenceForAllRanksAndWidths) {
-  KernelGuard guard;
-  // Identity permutations, rank 0 (a scalar) through rank 5.
-  const tensor::Shape by_rank[] = {
-      {}, {7}, {3, 5}, {2, 3, 4}, {2, 3, 4, 5}, {2, 3, 1, 4, 3}};
-  for (const tensor::Shape& shape : by_rank) {
-    std::vector<int> dims(shape.size());
-    for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = static_cast<int>(i);
-    expect_permute_matches_ref(shape, dims);
-  }
-
-  // Every rank-4 permutation: memcpy rows where the last axis stays last,
-  // strided gathers otherwise.
-  std::vector<int> dims4 = {0, 1, 2, 3};
-  int count = 0;
-  do {
-    expect_permute_matches_ref({2, 3, 4, 5}, dims4);
-    ++count;
-  } while (std::next_permutation(dims4.begin(), dims4.end()));
-  EXPECT_EQ(count, 24);
-
-  // Other ranks, zero-size axes (no element is touched) and size-1 axes.
-  expect_permute_matches_ref({3, 5}, {1, 0});
-  expect_permute_matches_ref({2, 3, 4}, {0, 2, 1});
-  expect_permute_matches_ref({2, 3, 1, 4, 3}, {4, 0, 3, 1, 2});
-  expect_permute_matches_ref({0}, {0});
-  expect_permute_matches_ref({3, 0, 4}, {2, 0, 1});
-  expect_permute_matches_ref({2, 3, 0}, {0, 2, 1});
-  expect_permute_matches_ref({1, 5, 1, 3}, {2, 0, 3, 1});
-  expect_permute_matches_ref({4, 1}, {1, 0});
-  expect_permute_matches_ref({1, 1, 1}, {2, 1, 0});
-
-  // Larger than one copy grain (2^15 floats), so widths > 1 fork: the
-  // fused-batch head split, a transpose_last gather, and rows each longer
-  // than the grain.
-  expect_permute_matches_ref({128, 32, 4, 32}, {0, 2, 1, 3});
-  expect_permute_matches_ref({40, 32, 32}, {0, 2, 1});
-  expect_permute_matches_ref({3, 40000}, {0, 1});
-  expect_permute_matches_ref({2, 40000}, {1, 0});
-
-  // A permute followed by its inverse gives back the original bytes.
-  const tensor::Shape shape = {16, 32, 4, 32};
-  const std::vector<int> dims = {2, 0, 3, 1};
-  tensor::Shape permuted(shape.size());
-  std::vector<int> inverse(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    permuted[i] = shape[static_cast<std::size_t>(dims[i])];
-    inverse[static_cast<std::size_t>(dims[i])] = static_cast<int>(i);
-  }
-  const auto n = static_cast<std::size_t>(tensor::numel_of(shape));
-  const auto in = random_vec(n, 73);
-  for (int width : {1, 2, 4, 8}) {
-    ThreadPool::instance().set_num_threads(width);
-    std::vector<float> mid(n), back(n);
-    tensor::kernels::permute(in.data(), mid.data(), shape, dims);
-    tensor::kernels::permute(mid.data(), back.data(), permuted, inverse);
-    ASSERT_EQ(std::memcmp(back.data(), in.data(), n * sizeof(float)), 0)
-        << "width " << width;
   }
 }
 

@@ -25,7 +25,6 @@ struct MatmulCase {
   Index m;
   Index k;
   Index n;
-  bool shared_rhs;
 };
 
 class MatmulSweep : public ::testing::TestWithParam<MatmulCase> {};
@@ -36,11 +35,8 @@ TEST_P(MatmulSweep, MatchesNaiveTripleLoop) {
   const Index b = c.batch == 0 ? 1 : c.batch;
 
   Shape a_shape = c.batch == 0 ? Shape{c.m, c.k} : Shape{c.batch, c.m, c.k};
-  Shape b_shape = c.shared_rhs || c.batch == 0
-                      ? Shape{c.k, c.n}
-                      : Shape{c.batch, c.k, c.n};
   Tensor A = Tensor::empty(a_shape, host_device());
-  Tensor B = Tensor::empty(b_shape, host_device());
+  Tensor B = Tensor::empty({c.k, c.n}, host_device());
   rng.fill_normal(A.data(), static_cast<std::size_t>(A.numel()), 1.0f);
   rng.fill_normal(B.data(), static_cast<std::size_t>(B.numel()), 1.0f);
 
@@ -52,15 +48,12 @@ TEST_P(MatmulSweep, MatchesNaiveTripleLoop) {
   const float* pc = C.data();
   for (Index bi = 0; bi < b; ++bi) {
     const float* a_mat = pa + bi * c.m * c.k;
-    const float* b_mat = c.shared_rhs || c.batch == 0
-                             ? pb
-                             : pb + bi * c.k * c.n;
     for (Index i = 0; i < c.m; ++i) {
       for (Index j = 0; j < c.n; ++j) {
         double acc = 0.0;
         for (Index p = 0; p < c.k; ++p) {
           acc += static_cast<double>(a_mat[i * c.k + p]) *
-                 static_cast<double>(b_mat[p * c.n + j]);
+                 static_cast<double>(pb[p * c.n + j]);
         }
         EXPECT_NEAR(pc[(bi * c.m + i) * c.n + j], static_cast<float>(acc),
                     1e-3f * (1.0f + std::fabs(static_cast<float>(acc))))
@@ -72,43 +65,33 @@ TEST_P(MatmulSweep, MatchesNaiveTripleLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatmulSweep,
-    ::testing::Values(MatmulCase{0, 1, 1, 1, true},
-                      MatmulCase{0, 7, 3, 5, true},
-                      MatmulCase{0, 16, 16, 16, true},
-                      MatmulCase{0, 1, 33, 2, true},
-                      MatmulCase{2, 4, 6, 3, true},
-                      MatmulCase{3, 5, 2, 7, true},
-                      MatmulCase{2, 3, 4, 5, false},
-                      MatmulCase{4, 2, 8, 2, false},
-                      MatmulCase{1, 9, 1, 9, false}));
+    ::testing::Values(MatmulCase{0, 1, 1, 1}, MatmulCase{0, 7, 3, 5},
+                      MatmulCase{0, 16, 16, 16}, MatmulCase{0, 1, 33, 2},
+                      MatmulCase{2, 4, 6, 3}, MatmulCase{3, 5, 2, 7},
+                      MatmulCase{2, 3, 4, 5}, MatmulCase{4, 2, 8, 2},
+                      MatmulCase{1, 9, 1, 9}));
 
 // ----- attention vs per-position reference -----
 
-TEST(AttentionReference, MatchesBruteForce) {
-  // Reference: for every (batch, head, position), compute the causal
-  // softmax-weighted sum of value vectors directly.
-  const Index B = 2, T = 5, H = 2, D = 3;
-  const Index C = H * D;
+/// causal_attention vs a per-(batch, head, position) double-precision
+/// reference: the causal softmax-weighted sum of value vectors, query head
+/// h reading kv head h / (H / Hkv).
+void expect_attention_matches_brute_force(Index B, Index T, Index H,
+                                          Index Hkv, Index D) {
+  const Index C = H * D, Ckv = Hkv * D, group = H / Hkv;
   util::Rng rng(77);
   Tensor q = Tensor::empty({B, T, C}, host_device());
-  Tensor k = Tensor::empty({B, T, C}, host_device());
-  Tensor v = Tensor::empty({B, T, C}, host_device());
+  Tensor k = Tensor::empty({B, T, Ckv}, host_device());
+  Tensor v = Tensor::empty({B, T, Ckv}, host_device());
   rng.fill_normal(q.data(), static_cast<std::size_t>(q.numel()), 0.8f);
   rng.fill_normal(k.data(), static_cast<std::size_t>(k.numel()), 0.8f);
   rng.fill_normal(v.data(), static_cast<std::size_t>(v.numel()), 0.8f);
 
-  // Library path (the same sequence of ops CausalSelfAttention::forward
-  // uses, minus the projections).
-  const auto split_heads = [&](const Tensor& m) {
-    return tensor::permute(tensor::reshape(m, {B, T, H, D}), {0, 2, 1, 3});
-  };
-  Tensor qh = split_heads(q);
-  Tensor kh = split_heads(k);
-  Tensor vh = split_heads(v);
-  Tensor scores = tensor::scale(tensor::matmul(qh, tensor::transpose_last(kh)),
-                                1.0f / std::sqrt(static_cast<float>(D)));
-  Tensor ctx = tensor::matmul(tensor::causal_masked_softmax(scores), vh);
-  Tensor lib = tensor::reshape(tensor::permute(ctx, {0, 2, 1, 3}), {B, T, C});
+  // Library path: the attention core CausalSelfAttention::forward runs
+  // between its projections.
+  Tensor lib = tensor::causal_attention(q, k, v, static_cast<int>(H),
+                                        static_cast<int>(Hkv));
+  ASSERT_EQ(lib.shape(), (Shape{B, T, C}));
   const float* out = lib.data();
 
   const float* pq = q.data();
@@ -116,6 +99,7 @@ TEST(AttentionReference, MatchesBruteForce) {
   const float* pv = v.data();
   for (Index b = 0; b < B; ++b) {
     for (Index h = 0; h < H; ++h) {
+      const Index kvh = h / group;
       for (Index t = 0; t < T; ++t) {
         // Scores against positions 0..t.
         std::vector<double> s(static_cast<std::size_t>(t + 1));
@@ -123,7 +107,7 @@ TEST(AttentionReference, MatchesBruteForce) {
           double dot = 0.0;
           for (Index d = 0; d < D; ++d) {
             dot += static_cast<double>(pq[(b * T + t) * C + h * D + d]) *
-                   static_cast<double>(pk[(b * T + u) * C + h * D + d]);
+                   static_cast<double>(pk[(b * T + u) * Ckv + kvh * D + d]);
           }
           s[static_cast<std::size_t>(u)] = dot / std::sqrt(double(D));
         }
@@ -138,15 +122,22 @@ TEST(AttentionReference, MatchesBruteForce) {
           double acc = 0.0;
           for (Index u = 0; u <= t; ++u) {
             acc += s[static_cast<std::size_t>(u)] / z *
-                   static_cast<double>(pv[(b * T + u) * C + h * D + d]);
+                   static_cast<double>(pv[(b * T + u) * Ckv + kvh * D + d]);
           }
           EXPECT_NEAR(out[(b * T + t) * C + h * D + d],
                       static_cast<float>(acc), 2e-4f)
-              << "b=" << b << " h=" << h << " t=" << t << " d=" << d;
+              << "H=" << H << " Hkv=" << Hkv << " b=" << b << " h=" << h
+              << " t=" << t << " d=" << d;
         }
       }
     }
   }
+}
+
+TEST(AttentionReference, MatchesBruteForce) {
+  expect_attention_matches_brute_force(2, 5, 2, 2, 3);  // multi-head
+  expect_attention_matches_brute_force(2, 7, 4, 2, 3);  // grouped-query
+  expect_attention_matches_brute_force(1, 9, 4, 1, 5);  // one kv head
 }
 
 // ----- layer norm / rms norm reference over random shapes -----

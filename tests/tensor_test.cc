@@ -155,27 +155,6 @@ TEST(ShapeOps, ReshapeSharesStorage) {
   EXPECT_THROW(reshape(a, {3}), InvalidArgument);
 }
 
-TEST(ShapeOps, TransposeLast2D) {
-  Tensor a = Tensor::from_vector({1, 2, 3, 4, 5, 6}, {2, 3}, host_device());
-  Tensor t = transpose_last(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_EQ(t.to_vector(), (std::vector<float>{1, 4, 2, 5, 3, 6}));
-}
-
-TEST(ShapeOps, PermuteBHTD) {
-  // [1, 2, 2, 1] -> swap axes 1 and 2.
-  Tensor a = Tensor::from_vector({1, 2, 3, 4}, {1, 2, 2, 1}, host_device());
-  Tensor p = permute(a, {0, 2, 1, 3});
-  EXPECT_EQ(p.shape(), (Shape{1, 2, 2, 1}));
-  EXPECT_EQ(p.to_vector(), (std::vector<float>{1, 3, 2, 4}));
-}
-
-TEST(ShapeOps, PermuteInvalidAxesThrow) {
-  Tensor a = Tensor::zeros({2, 2}, host_device());
-  EXPECT_THROW(permute(a, {0, 0}), InvalidArgument);
-  EXPECT_THROW(permute(a, {0}), InvalidArgument);
-}
-
 TEST(ShapeOps, ConcatAndSliceDim1) {
   Tensor a = Tensor::from_vector({1, 2, 3, 4}, {1, 2, 2}, host_device());
   Tensor b = Tensor::from_vector({5, 6}, {1, 1, 2}, host_device());
@@ -213,24 +192,18 @@ TEST(Matmul, BatchedSharedRight) {
   EXPECT_EQ(c.to_vector(), (std::vector<float>{1, 2, 3, 4, 2, 4, 6, 8}));
 }
 
-TEST(Matmul, BatchedBothSides) {
-  Tensor a = Tensor::from_vector({1, 2, 3, 4}, {2, 1, 2}, host_device());
-  Tensor b = Tensor::from_vector({1, 1, 2, 2}, {2, 2, 1}, host_device());
-  Tensor c = matmul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{2, 1, 1}));
-  EXPECT_EQ(c.to_vector(), (std::vector<float>{3, 14}));
-}
-
 TEST(Matmul, InnerDimMismatchThrows) {
   Tensor a = Tensor::zeros({2, 3}, host_device());
   Tensor b = Tensor::zeros({4, 2}, host_device());
   EXPECT_THROW(matmul(a, b), InvalidArgument);
 }
 
-TEST(Matmul, BatchDimMismatchThrows) {
+TEST(Matmul, BatchedRightOperandThrows) {
+  // The right operand is a weight: 2-D only.
   Tensor a = Tensor::zeros({2, 2, 2}, host_device());
-  Tensor b = Tensor::zeros({3, 2, 2}, host_device());
+  Tensor b = Tensor::zeros({2, 2, 2}, host_device());
   EXPECT_THROW(matmul(a, b), InvalidArgument);
+  EXPECT_THROW(matmul(a, Tensor::zeros({2}, host_device())), InvalidArgument);
 }
 
 // ----- reductions / softmax / norms -----
@@ -262,18 +235,43 @@ TEST(Softmax, InvariantToShift) {
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(ya[i], yb[i], 1e-5f);
 }
 
-TEST(Softmax, CausalMaskZeroesFuture) {
+TEST(Attention, FutureTokensDoNotChangeEarlierOutputs) {
+  // The causal mask: row t of the output reads keys and values 0..t only,
+  // so rewriting the last position's q/k/v moves only the last row.
   util::Rng rng(9);
-  Tensor scores = Tensor::empty({1, 1, 3, 3}, host_device());
-  rng.fill_normal(scores.data(), 9, 1.0f);
-  auto y = causal_masked_softmax(scores).to_vector();
-  // Row t may only attend to columns <= t.
-  EXPECT_FLOAT_EQ(y[1], 0.0f);
-  EXPECT_FLOAT_EQ(y[2], 0.0f);
-  EXPECT_FLOAT_EQ(y[5], 0.0f);
-  EXPECT_NEAR(y[0], 1.0f, 1e-6f);  // first row attends only to itself
-  EXPECT_NEAR(y[3] + y[4], 1.0f, 1e-5f);
-  EXPECT_NEAR(y[6] + y[7] + y[8], 1.0f, 1e-5f);
+  const Index B = 1, T = 4, C = 4;
+  Tensor q = Tensor::empty({B, T, C}, host_device());
+  Tensor k = Tensor::empty({B, T, C}, host_device());
+  Tensor v = Tensor::empty({B, T, C}, host_device());
+  for (Tensor* t : {&q, &k, &v}) {
+    rng.fill_normal(t->data(), static_cast<std::size_t>(t->numel()), 1.0f);
+  }
+  const auto before = causal_attention(q, k, v, 2, 2).to_vector();
+  for (Tensor* t : {&q, &k, &v}) {
+    for (Index j = 0; j < C; ++j) t->data()[(T - 1) * C + j] += 3.0f;
+  }
+  const auto after = causal_attention(q, k, v, 2, 2).to_vector();
+  for (Index i = 0; i < (T - 1) * C; ++i) {
+    EXPECT_EQ(before[static_cast<std::size_t>(i)],
+              after[static_cast<std::size_t>(i)]) << "element " << i;
+  }
+  // Position 0 attends only to itself: its output is its own value row.
+  for (Index j = 0; j < C; ++j) {
+    EXPECT_NEAR(after[static_cast<std::size_t>(j)],
+                v.data()[static_cast<std::size_t>(j)], 1e-6f);
+  }
+}
+
+TEST(Attention, RejectsMismatchedShapes) {
+  Tensor q = Tensor::zeros({2, 3, 8}, host_device());
+  Tensor kv = Tensor::zeros({2, 3, 4}, host_device());
+  EXPECT_THROW(causal_attention(q, q, q, 3, 3), InvalidArgument);  // 8 % 3
+  EXPECT_THROW(causal_attention(q, q, q, 4, 3), InvalidArgument);  // 4 % 3
+  EXPECT_THROW(causal_attention(q, kv, kv, 4, 4), InvalidArgument);
+  EXPECT_THROW(causal_attention(q, q, kv, 4, 4), InvalidArgument);
+  EXPECT_THROW(causal_attention(reshape(q, {6, 8}), q, q, 4, 4),
+               InvalidArgument);
+  EXPECT_EQ(causal_attention(q, kv, kv, 4, 2).shape(), (Shape{2, 3, 8}));
 }
 
 TEST(Norms, LayerNormNormalizesRows) {
