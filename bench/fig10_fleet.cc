@@ -31,6 +31,7 @@
 #include "core/server.h"
 #include "data/dataset.h"
 #include "fleet/fleet.h"
+#include "net/link.h"
 #include "net/transport.h"
 
 namespace {
@@ -90,16 +91,16 @@ Calibration calibrate() {
   core::ServerConfig config;
   config.mode = core::ServingMode::MenosReleaseAfterBackward;
   config.base_seed = 42;
-  net::NetworkConditioner uplink;
-  uplink.latency_s = 0.05;
-  net::InprocAcceptor acceptor(uplink, net::NetworkConditioner{});
+  net::LinkProfile uplink;
+  uplink.up.latency_s = 0.05;
+  net::InprocAcceptor acceptor;
   core::Server server(config, devices, bench_model());
   cal.store_bytes = devices.gpu(0).allocated();
   server.start(acceptor);
 
   const std::size_t idle = server.scheduler().total_available();
   gpusim::DeviceManager cd(1, 256u << 20);
-  core::Client client(bench_options(1), acceptor.connect(), cd.gpu(0));
+  core::Client client(bench_options(1), acceptor.connect(uplink), cd.gpu(0));
   client.connect();
   cal.persistent_bytes = idle - server.scheduler().total_available();
 
@@ -156,9 +157,9 @@ struct Point {
 Point measure(int shards, const std::string& policy, const Calibration& cal,
               int steps) {
   fleet::Fleet fleet(throughput_config(shards, cal, policy), bench_model());
-  net::NetworkConditioner uplink;
-  uplink.latency_s = kUplinkLatencyS;
-  net::InprocAcceptor acceptor(uplink, net::NetworkConditioner{});
+  net::LinkProfile uplink;
+  uplink.up.latency_s = kUplinkLatencyS;
+  net::InprocAcceptor acceptor;
   fleet.start(acceptor);
 
   // Three barrier-separated phases, all inside the measured window. The
@@ -184,7 +185,7 @@ Point measure(int shards, const std::string& policy, const Calibration& cal,
         std::make_unique<gpusim::DeviceManager>(1, 64u << 20);
     clients[static_cast<std::size_t>(c)] = std::make_unique<core::Client>(
         bench_options(1000 + static_cast<std::uint64_t>(c)),
-        acceptor.connect(), cds[static_cast<std::size_t>(c)]->gpu(0));
+        acceptor.connect(uplink), cds[static_cast<std::size_t>(c)]->gpu(0));
     clients[static_cast<std::size_t>(c)]->connect();
   });
   run_drivers([&](int c) {

@@ -13,6 +13,7 @@
 
 #include "core/client.h"
 #include "core/server.h"
+#include "net/link.h"
 #include "net/transport.h"
 #include "util/bytes.h"
 
@@ -43,9 +44,10 @@ PatternResult run_pattern(core::ServingMode mode) {
 
   // Slow "WAN": ~12 ms per message, so waiting phases dominate the
   // iteration the way the paper's Internet link does.
-  net::NetworkConditioner wan;
-  wan.latency_s = 0.012;
-  net::InprocAcceptor acceptor(wan);
+  net::LinkProfile wan;
+  wan.up.latency_s = 0.012;
+  wan.down.latency_s = 0.012;
+  net::InprocAcceptor acceptor;
   server.start(acceptor);
 
   gpusim::DeviceManager client_devices(1, 1u << 30);
@@ -56,7 +58,7 @@ PatternResult run_pattern(core::ServingMode mode) {
   options.finetune.seq_len = 32;
   options.finetune.adapter_seed = 3;
   options.base_seed = 42;
-  core::Client client(options, acceptor.connect(), client_devices.gpu(0));
+  core::Client client(options, acceptor.connect(wan), client_devices.gpu(0));
   client.connect();
 
   data::CharTokenizer tok;

@@ -162,7 +162,9 @@ net::Message Client::rpc(const net::Message& request,
       }
       const double sleep_s = options_.retry.backoff_s(attempt, retry_rng_);
       if (sleep_s > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
+        // Retry backoff waits before redialing; it is not a link delay.
+        std::this_thread::sleep_for(  // NOLINT(raw-sleep)
+            std::chrono::duration<double>(sleep_s));
       }
     }
   }
@@ -177,7 +179,9 @@ double Client::emulate_compute(double measured_s) {
   const double scale = options_.finetune.profile.compute_scale;
   if (scale <= 1.0 || measured_s <= 0.0) return measured_s;
   const double pad_s = (scale - 1.0) * measured_s;
-  std::this_thread::sleep_for(std::chrono::duration<double>(pad_s));
+  // Emulates a slower client device's compute, not the link.
+  std::this_thread::sleep_for(  // NOLINT(raw-sleep)
+      std::chrono::duration<double>(pad_s));
   return measured_s + pad_s;
 }
 
@@ -387,11 +391,6 @@ void Client::disconnect() {
 
 std::size_t Client::parameter_bytes() const {
   return input_->parameter_bytes() + output_->parameter_bytes();
-}
-
-std::size_t Client::adapter_bytes() const {
-  return input_->trainable_parameter_bytes() +
-         output_->trainable_parameter_bytes();
 }
 
 }  // namespace menos::core

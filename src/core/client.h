@@ -124,7 +124,6 @@ class Client {
 
   /// Client-side footprint, for completeness of the §2.3 accounting.
   std::size_t parameter_bytes() const;
-  std::size_t adapter_bytes() const;
 
  private:
   tensor::Tensor input_forward(const data::Batch& batch);

@@ -124,7 +124,6 @@ class DeviceManager {
   std::size_t total_gpu_capacity() const;
 
   const TransferModel& transfer_model() const noexcept { return transfer_; }
-  void set_transfer_model(const TransferModel& m) noexcept { transfer_ = m; }
 
  private:
   std::unique_ptr<Device> host_;

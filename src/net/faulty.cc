@@ -1,7 +1,5 @@
 #include "net/faulty.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 namespace menos::net {
@@ -14,22 +12,11 @@ class FaultyConnection final : public Connection {
       : inner_(std::move(inner)), injector_(std::move(injector)) {}
 
   bool send(const Message& message) override {
-    switch (injector_->next_send_action()) {
-      case FaultInjector::Action::Kill:
-        // The frame is lost in flight and the link is gone: the peer's
-        // receive() drains and returns nullopt, our own next call fails.
-        inner_->close();
-        return false;
-      case FaultInjector::Action::Delay: {
-        const double s =
-            injector_->plan().delay_s * injector_->plan().time_scale;
-        if (s > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(s));
-        }
-        break;
-      }
-      default:
-        break;
+    if (injector_->next_send_action() == FaultInjector::Action::Kill) {
+      // The frame is lost in flight and the link is gone: the peer's
+      // receive() drains and returns nullopt, our own next call fails.
+      inner_->close();
+      return false;
     }
     return inner_->send(message);
   }
@@ -100,8 +87,7 @@ std::unique_ptr<Connection> decorate_with_faults(
 }
 
 FaultInjector::Action FaultInjector::draw_locked(double kill_prob,
-                                                 double corrupt_prob,
-                                                 double delay_prob) {
+                                                 double corrupt_prob) {
   ++stats_.frames_seen;
   if (stats_.frames_seen <= static_cast<std::uint64_t>(
                                 plan_.skip_frames > 0 ? plan_.skip_frames : 0)) {
@@ -113,27 +99,23 @@ FaultInjector::Action FaultInjector::draw_locked(double kill_prob,
   const bool capped =
       plan_.max_faults >= 0 &&
       stats_.faults() >= static_cast<std::uint64_t>(plan_.max_faults);
-  if (!capped) {
-    if (u < kill_prob) return Action::Kill;
-    if (u < kill_prob + corrupt_prob) return Action::Corrupt;
-  }
-  if (u < kill_prob + corrupt_prob + delay_prob) return Action::Delay;
+  if (capped) return Action::None;
+  if (u < kill_prob) return Action::Kill;
+  if (u < kill_prob + corrupt_prob) return Action::Corrupt;
   return Action::None;
 }
 
 FaultInjector::Action FaultInjector::next_send_action() {
   util::MutexLock lock(mutex_);
-  const Action a =
-      draw_locked(plan_.drop_send_prob, 0.0, plan_.delay_prob);
+  const Action a = draw_locked(plan_.drop_send_prob, 0.0);
   if (a == Action::Kill) ++stats_.sends_dropped;
-  if (a == Action::Delay) ++stats_.delays;
   return a;
 }
 
 FaultInjector::Action FaultInjector::next_receive_action() {
   util::MutexLock lock(mutex_);
-  const Action a = draw_locked(plan_.drop_receive_prob,
-                               plan_.corrupt_receive_prob, 0.0);
+  const Action a =
+      draw_locked(plan_.drop_receive_prob, plan_.corrupt_receive_prob);
   if (a == Action::Kill) ++stats_.receives_dropped;
   if (a == Action::Corrupt) ++stats_.receives_corrupted;
   return a;

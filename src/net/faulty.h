@@ -2,9 +2,10 @@
 //
 // FaultyConnection decorates any Connection (TCP or inproc) and injects
 // WAN pathologies at the frame boundary: dropped frames that kill the
-// link, extra delivery delay, and corrupt frames (surfaced exactly the way
-// the CRC check would surface real corruption — ProtocolError plus a dead
-// link, never a silently altered payload, so recovery can be bit-exact).
+// link, and corrupt frames (surfaced exactly the way the CRC check would
+// surface real corruption — ProtocolError plus a dead link, never a
+// silently altered payload, so recovery can be bit-exact). Delay and
+// jitter are the link model's job (net/link.h), not a fault.
 //
 // All decisions flow from one seeded util::Rng inside a FaultInjector that
 // survives reconnects: a client that redials after an injected failure
@@ -37,12 +38,6 @@ struct FaultPlan {
   /// Inbound frame arrives corrupted: receive throws ProtocolError (what
   /// the CRC check turns real corruption into) and the link dies.
   double corrupt_receive_prob = 0.0;
-  /// Outbound frame is delayed by delay_s before delivery.
-  double delay_prob = 0.0;
-  double delay_s = 0.0;
-  /// Scales delay_s; 0 = no sleeping (tests run the injection code path at
-  /// zero wall-clock cost, mirroring NetworkConditioner::time_scale).
-  double time_scale = 1.0;
 
   /// The first `skip_frames` frames pass untouched (handshake grace).
   int skip_frames = 0;
@@ -57,7 +52,6 @@ struct FaultStats {
   std::uint64_t sends_dropped = 0;
   std::uint64_t receives_dropped = 0;
   std::uint64_t receives_corrupted = 0;
-  std::uint64_t delays = 0;
 
   std::uint64_t faults() const noexcept {
     return sends_dropped + receives_dropped + receives_corrupted;
@@ -69,7 +63,7 @@ struct FaultStats {
 /// consume the same deterministic sequence.
 class FaultInjector {
  public:
-  enum class Action : std::uint8_t { None, Delay, Kill, Corrupt };
+  enum class Action : std::uint8_t { None, Kill, Corrupt };
 
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {}
 
@@ -80,7 +74,7 @@ class FaultInjector {
   FaultStats stats() const;
 
  private:
-  Action draw_locked(double kill_prob, double corrupt_prob, double delay_prob)
+  Action draw_locked(double kill_prob, double corrupt_prob)
       MENOS_REQUIRES(mutex_);
 
   const FaultPlan plan_;
@@ -100,22 +94,5 @@ std::unique_ptr<Connection> decorate_with_faults(
 /// fault stream — the reconnect hook a fault-tolerant client hands to
 /// core::Client.
 Dialer faulty_dialer(Dialer inner, std::shared_ptr<FaultInjector> injector);
-
-/// Server-side composition: accepted connections are decorated, so inbound
-/// traffic from every client crosses the same lossy "WAN".
-class FaultyAcceptor final : public Acceptor {
- public:
-  FaultyAcceptor(Acceptor& inner, std::shared_ptr<FaultInjector> injector)
-      : inner_(&inner), injector_(std::move(injector)) {}
-
-  std::unique_ptr<Connection> accept() override {
-    return decorate_with_faults(inner_->accept(), injector_);
-  }
-  void close() override { inner_->close(); }
-
- private:
-  Acceptor* inner_;
-  std::shared_ptr<FaultInjector> injector_;
-};
 
 }  // namespace menos::net

@@ -1,6 +1,4 @@
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "net/link.h"
 #include "net/transport.h"
@@ -37,9 +35,8 @@ struct Pipe {
 
 class InprocConnection final : public Connection {
  public:
-  InprocConnection(std::shared_ptr<Pipe> out, std::shared_ptr<Pipe> in,
-                   NetworkConditioner conditioner)
-      : out_(std::move(out)), in_(std::move(in)), conditioner_(conditioner) {}
+  InprocConnection(std::shared_ptr<Pipe> out, std::shared_ptr<Pipe> in)
+      : out_(std::move(out)), in_(std::move(in)) {}
 
   ~InprocConnection() override { close(); }
 
@@ -48,14 +45,9 @@ class InprocConnection final : public Connection {
     // Wire-size accounting uses the real encoded size so the comm-time
     // model sees exactly what TCP would carry.
     const std::size_t frame_bytes = framed_size(message);
-    const double delay =
-        conditioner_.transfer_seconds(frame_bytes) * conditioner_.time_scale;
-    if (delay > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
-    // The peer may have closed while the frame was "on the wire": a push
-    // onto a closed queue is dropped, and a dropped frame must not count
-    // as sent or the comm accounting reports bytes nobody received.
+    // The peer may have closed since the check above: a push onto a closed
+    // queue is dropped, and a dropped frame must not count as sent or the
+    // comm accounting reports bytes nobody received.
     if (!out_->queue.push(message)) return false;
     bytes_sent_ += frame_bytes;
     out_->fire_hook();
@@ -97,7 +89,6 @@ class InprocConnection final : public Connection {
  private:
   std::shared_ptr<Pipe> out_;
   std::shared_ptr<Pipe> in_;
-  NetworkConditioner conditioner_;
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<double> receive_timeout_{0.0};
 };
@@ -105,43 +96,23 @@ class InprocConnection final : public Connection {
 }  // namespace
 
 std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
-make_inproc_pair(const NetworkConditioner& conditioner) {
-  return make_inproc_pair(conditioner, conditioner);
-}
-
-std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
-make_inproc_pair(const NetworkConditioner& a_to_b,
-                 const NetworkConditioner& b_to_a) {
+make_inproc_pair() {
   auto ab = std::make_shared<Pipe>();
   auto ba = std::make_shared<Pipe>();
-  // The conditioner delay is paid in the SENDER's thread, so each endpoint
-  // carries the conditioner of its own outbound direction.
-  auto a = std::make_unique<InprocConnection>(ab, ba, a_to_b);
-  auto b = std::make_unique<InprocConnection>(ba, ab, b_to_a);
-  return {std::move(a), std::move(b)};
+  return {std::make_unique<InprocConnection>(ab, ba),
+          std::make_unique<InprocConnection>(ba, ab)};
 }
 
 struct InprocAcceptor::State {
   util::BlockingQueue<std::unique_ptr<Connection>> pending;
-  NetworkConditioner uplink;
-  NetworkConditioner downlink;
 };
 
-InprocAcceptor::InprocAcceptor(const NetworkConditioner& conditioner)
-    : InprocAcceptor(conditioner, conditioner) {}
-
-InprocAcceptor::InprocAcceptor(const NetworkConditioner& uplink,
-                               const NetworkConditioner& downlink)
-    : state_(std::make_shared<State>()) {
-  state_->uplink = uplink;
-  state_->downlink = downlink;
-}
+InprocAcceptor::InprocAcceptor() : state_(std::make_shared<State>()) {}
 
 InprocAcceptor::~InprocAcceptor() { close(); }
 
 std::unique_ptr<Connection> InprocAcceptor::connect() {
-  auto [client_end, server_end] =
-      make_inproc_pair(state_->uplink, state_->downlink);
+  auto [client_end, server_end] = make_inproc_pair();
   state_->pending.push(std::move(server_end));
   return std::move(client_end);
 }
@@ -149,9 +120,8 @@ std::unique_ptr<Connection> InprocAcceptor::connect() {
 std::unique_ptr<Connection> InprocAcceptor::connect(
     const LinkProfile& profile,
     std::shared_ptr<LinkConditioner>* conditioner_out) {
-  // The pair is minted UNconditioned: per-connection shaping supersedes the
-  // acceptor-wide conditioners, and the delay is paid in the decorator so
-  // the same LinkConditioner would work over TCP.
+  // The delay is paid in the decorator, so the same LinkConditioner shapes
+  // a TCP connection too.
   auto [client_end, server_end] = make_inproc_pair();
   auto conditioner = std::make_shared<LinkConditioner>(profile);
   if (conditioner_out != nullptr) *conditioner_out = conditioner;

@@ -8,9 +8,8 @@ namespace menos::net {
 namespace {
 
 /// Pays the per-frame link delay in the sender's thread, then forwards to
-/// the inner transport. Mirrors InprocConnection's conditioner but lives
-/// at the decorator layer so any transport (inproc, TCP) can be shaped
-/// per connection.
+/// the inner transport. A decorator, so any transport (inproc, TCP) can be
+/// shaped per connection.
 class ConditionedConnection final : public Connection {
  public:
   ConditionedConnection(std::unique_ptr<Connection> inner,
@@ -79,7 +78,6 @@ LinkConditioner::LinkConditioner(const LinkProfile& profile)
     plan.seed = root.fork().next_u64();
     plan.drop_send_prob = profile.loss_prob;
     plan.skip_frames = profile.skip_frames;
-    plan.time_scale = 0.0;  // delay is the conditioner's job, not the plan's
     injector_ = std::make_shared<FaultInjector>(plan);
   }
 }

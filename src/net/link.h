@@ -1,15 +1,12 @@
-// Per-session link conditioning (the heterogeneous-client refactor of the
-// PR 4 fault injector + inproc NetworkConditioner).
+// Per-connection link conditioning: the one model of the client<->server
+// link's delay, jitter and loss.
 //
-// PR 4's FaultInjector and the inproc conditioner both shape traffic at the
-// wrong granularity for a mixed population: the injector is shared across
-// whatever connections it decorates, and InprocAcceptor's conditioners are
-// fixed per *acceptor*, so every client crosses the same WAN. A
-// LinkProfile describes ONE client's link — asymmetric up/down bandwidth
+// A LinkProfile describes ONE client's link — asymmetric up/down bandwidth
 // and latency, seeded per-frame jitter, and a loss rate — and a
 // LinkConditioner instantiates it per connection: both endpoints of one
 // session share one conditioner, while different sessions on the same
-// acceptor get independent links.
+// acceptor get independent links. condition_connection applies it to any
+// transport (inproc or TCP); the transports themselves never delay a frame.
 //
 // Determinism: each direction owns a seeded util::Rng forked from the
 // profile seed, and sends in one direction are serialized (the client's
@@ -18,6 +15,7 @@
 // conditioner logs every drawn delay per direction so tests can pin this.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -28,6 +26,23 @@
 #include "util/thread_annotations.h"
 
 namespace menos::net {
+
+/// One direction's deterministic delay: each frame takes latency +
+/// bytes/bandwidth, scaled by time_scale so tests can run the same code
+/// path at zero cost (time_scale = 0 -> no sleeping, accounting only).
+struct NetworkConditioner {
+  double latency_s = 0.0;
+  double bandwidth_bytes_per_s = 0.0;  ///< 0 = infinite
+  double time_scale = 1.0;
+
+  double transfer_seconds(std::size_t bytes) const noexcept {
+    double s = latency_s;
+    if (bandwidth_bytes_per_s > 0.0) {
+      s += static_cast<double>(bytes) / bandwidth_bytes_per_s;
+    }
+    return s;
+  }
+};
 
 /// Direction of a frame relative to the session: Up = client -> server.
 enum class LinkDir : std::uint8_t { Up = 0, Down = 1 };

@@ -48,10 +48,6 @@ const char* message_type_name(MessageType type) noexcept;
 struct WireTensor {
   std::vector<std::int64_t> shape;
   std::vector<float> data;
-
-  std::size_t payload_bytes() const noexcept {
-    return data.size() * sizeof(float);
-  }
 };
 
 /// On-wire encoding of the activation payload in Forward / ForwardResult /

@@ -1,11 +1,14 @@
 // Transport abstraction between clients and the Menos server.
 //
 // Two implementations share the Connection interface:
-//  * In-process channels with an optional WAN conditioner (latency +
-//    bandwidth model calibrated to the paper's Toronto<->Vancouver link) —
-//    used by tests, benches and the multi-client examples.
+//  * In-process channels — used by tests, benches and the multi-client
+//    examples.
 //  * Real TCP over POSIX sockets with length-prefixed CRC-checked frames —
 //    used by the tcp_demo example and the transport integration tests.
+//
+// Neither delays a frame. Latency, bandwidth, jitter and loss are one
+// per-connection decorator over either transport: condition_connection
+// with a LinkConditioner (net/link.h).
 //
 // Per the codebase error-handling policy, connection teardown is part of
 // normal operation and is reported via return values (send -> bool,
@@ -89,35 +92,9 @@ class Connection {
 /// used by core::Client's retry loop. Returns nullptr on failure.
 using Dialer = std::function<std::unique_ptr<Connection>()>;
 
-/// WAN conditioner for the in-process transport. Each send is delayed by
-/// latency + bytes/bandwidth, scaled by time_scale so tests can run the
-/// same code path at zero cost (time_scale = 0 -> no sleeping, accounting
-/// only).
-struct NetworkConditioner {
-  double latency_s = 0.0;
-  double bandwidth_bytes_per_s = 0.0;  ///< 0 = infinite
-  double time_scale = 1.0;
-
-  double transfer_seconds(std::size_t bytes) const noexcept {
-    double s = latency_s;
-    if (bandwidth_bytes_per_s > 0.0) {
-      s += static_cast<double>(bytes) / bandwidth_bytes_per_s;
-    }
-    return s;
-  }
-};
-
 /// Create a connected pair of in-process endpoints.
 std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
-make_inproc_pair(const NetworkConditioner& conditioner = {});
-
-/// Asymmetric variant: `a_to_b` shapes the first endpoint's sends, `b_to_a`
-/// the second's. Lets a bench model an uplink-heavy WAN (client pays the
-/// latency in its own send) while the return path stays free, so a
-/// single-core server is never the one sleeping.
-std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
-make_inproc_pair(const NetworkConditioner& a_to_b,
-                 const NetworkConditioner& b_to_a);
+make_inproc_pair();
 
 /// Source of inbound connections for a server. accept() blocks; returns
 /// nullptr once closed.
@@ -129,8 +106,8 @@ class Acceptor {
 };
 
 // Per-connection link conditioning (net/link.h). Declared here so the
-// acceptor can mint heterogeneous links without transport.h depending on
-// the full link machinery.
+// acceptor can mint conditioned links without transport.h depending on the
+// full link machinery.
 struct LinkProfile;
 class LinkConditioner;
 
@@ -138,19 +115,14 @@ class LinkConditioner;
 /// end to the accept loop and returns the client end.
 class InprocAcceptor final : public Acceptor {
  public:
-  explicit InprocAcceptor(const NetworkConditioner& conditioner = {});
-  /// Asymmetric links: `uplink` shapes client->server sends, `downlink`
-  /// server->client (see the two-conditioner make_inproc_pair).
-  InprocAcceptor(const NetworkConditioner& uplink,
-                 const NetworkConditioner& downlink);
+  InprocAcceptor();
   ~InprocAcceptor() override;
 
   std::unique_ptr<Connection> connect();
-  /// Heterogeneous variant: mint an UNconditioned pair (the acceptor-wide
-  /// conditioners do not apply) and shape both ends with a fresh
-  /// LinkConditioner for `profile` — each connection gets its own link,
-  /// not the acceptor's. `conditioner_out`, when non-null, receives the
-  /// shared conditioner so callers can read delay logs / loss stats.
+  /// Conditioned variant: shape both ends with a fresh LinkConditioner for
+  /// `profile` — each connection gets its own link. `conditioner_out`,
+  /// when non-null, receives the shared conditioner so callers can read
+  /// delay logs / loss stats.
   std::unique_ptr<Connection> connect(
       const LinkProfile& profile,
       std::shared_ptr<LinkConditioner>* conditioner_out = nullptr);

@@ -36,8 +36,6 @@ struct AdapterSpec {
   /// client, so this costs the server nothing.
   bool target_lm_head = false;
   int prefix_len = 8;    ///< Prefix: number of virtual tokens
-
-  float lora_scale() const { return alpha / static_cast<float>(rank); }
 };
 
 /// A Linear with a parallel low-rank path: y = xW + s * (xA)B.

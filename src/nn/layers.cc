@@ -8,8 +8,7 @@ constexpr float kWeightStd = 0.02f;
 
 Linear::Linear(const std::string& name, tensor::Index in, tensor::Index out,
                bool bias, ParameterSource& source, gpusim::Device& device,
-               bool trainable_bias)
-    : in_(in), out_(out) {
+               bool trainable_bias) {
   MENOS_CHECK_MSG(in > 0 && out > 0, "Linear dims must be positive");
   weight_ = source.get(name + ".weight", {in, out}, device, kWeightStd);
   register_parameter(name + ".weight", weight_);

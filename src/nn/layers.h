@@ -21,14 +21,9 @@ class Linear : public Module {
 
   virtual tensor::Tensor forward(const tensor::Tensor& x);
 
-  tensor::Index in_features() const noexcept { return in_; }
-  tensor::Index out_features() const noexcept { return out_; }
   const tensor::Tensor& weight() const noexcept { return weight_; }
-  bool has_bias() const noexcept { return bias_.defined(); }
 
  protected:
-  tensor::Index in_;
-  tensor::Index out_;
   tensor::Tensor weight_;  // [in, out], frozen
   tensor::Tensor bias_;    // [out] or undefined
 };

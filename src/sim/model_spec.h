@@ -57,12 +57,6 @@ struct ModelSpec {
            release_overhead_per_client_s * (resident_clients - 1);
   }
 
-  /// Duration of one Menos backward operation (re-forward + backward +
-  /// release overhead).
-  double menos_backward_seconds(int resident_clients) const noexcept {
-    return fwd_seconds + bwd_seconds + release_overhead(resident_clients);
-  }
-
   /// Per-client resident bytes under vanilla split learning (own copy of
   /// everything, Eq. 2 without I).
   std::size_t vanilla_task_bytes() const noexcept {

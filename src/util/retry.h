@@ -22,7 +22,8 @@ struct RetryPolicy {
   /// [1 - jitter, 1 + jitter]. 0 disables jitter (and the rng draw).
   double jitter = 0.2;
   /// Scales every delay; 0 = no sleeping (tests exercise the retry path at
-  /// zero wall-clock cost, mirroring NetworkConditioner::time_scale).
+  /// zero wall-clock cost, mirroring the link model's
+  /// NetworkConditioner::time_scale in net/link.h).
   double time_scale = 1.0;
 
   /// Backoff before retry number `attempt` (0-based). Consumes one rng

@@ -77,9 +77,4 @@ void Rng::fill_normal(float* data, std::size_t n, float stddev) noexcept {
   for (std::size_t i = 0; i < n; ++i) data[i] = stddev * normal();
 }
 
-void Rng::fill_uniform(float* data, std::size_t n, float lo,
-                       float hi) noexcept {
-  for (std::size_t i = 0; i < n; ++i) data[i] = uniform(lo, hi);
-}
-
 }  // namespace menos::util

@@ -38,9 +38,6 @@ class Rng {
   /// Fill a buffer with i.i.d. normal(0, stddev) values.
   void fill_normal(float* data, std::size_t n, float stddev) noexcept;
 
-  /// Fill with uniform values in [lo, hi).
-  void fill_uniform(float* data, std::size_t n, float lo, float hi) noexcept;
-
  private:
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;

@@ -17,9 +17,6 @@ class Stopwatch {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  double elapsed_millis() const { return elapsed_seconds() * 1e3; }
-  double elapsed_micros() const { return elapsed_seconds() * 1e6; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

@@ -19,6 +19,7 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "net/faulty.h"
+#include "net/link.h"
 #include "net/transport.h"
 #include "util/trace.h"
 
@@ -281,19 +282,22 @@ TEST(TcpFailure, CloseRaceNeverCrossesConnections) {
 }
 
 // Regression: the inproc transport counted a frame in bytes_sent() even
-// when the peer closed while the frame was "on the wire" (inside the
-// conditioner delay), so comm accounting reported bytes nobody received.
+// when the peer closed while the frame was "on the wire" (inside the link
+// delay), so comm accounting reported bytes nobody received.
 TEST(InprocFailure, DroppedSendIsNotCountedAsSent) {
-  net::NetworkConditioner conditioner;
-  conditioner.latency_s = 0.2;  // hold the frame in flight for 200ms
-  auto [a, b] = net::make_inproc_pair(conditioner);
+  net::LinkProfile profile;
+  profile.up.latency_s = 0.2;  // hold the frame in flight for 200ms
+  auto [plain, b] = net::make_inproc_pair();
+  auto a = net::condition_connection(
+      std::move(plain), std::make_shared<net::LinkConditioner>(profile),
+      net::LinkDir::Up);
   net::Connection* a_raw = a.get();
 
   std::atomic<bool> send_ok{true};
   std::thread sender([&] {
     send_ok.store(a_raw->send(net::Message::heartbeat()));
   });
-  // Close the peer while the frame is still inside the conditioner sleep.
+  // Close the peer while the frame is still inside the link delay.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   b->close();
   sender.join();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -252,6 +253,28 @@ TEST(FaultInjector, SameSeedSameSchedule) {
   EXPECT_GT(faults, 0);
 }
 
+TEST(FaultInjector, ScheduleIsPinned) {
+  // The first 64 actions of a seeded plan, one letter each (None, Kill,
+  // Corrupt), alternating send and receive draws. Any change to how a draw
+  // maps to a fault class moves a letter here.
+  FaultPlan plan;
+  plan.seed = 99;
+  plan.drop_send_prob = 0.2;
+  plan.drop_receive_prob = 0.2;
+  plan.corrupt_receive_prob = 0.1;
+  std::string schedule;
+  for (auto action : drive_injector(plan, 32)) {
+    switch (action) {
+      case FaultInjector::Action::None: schedule += 'N'; break;
+      case FaultInjector::Action::Kill: schedule += 'K'; break;
+      case FaultInjector::Action::Corrupt: schedule += 'C'; break;
+    }
+  }
+  EXPECT_EQ(schedule,
+            "NNNNNCNKNNNKKKNNKNKNNCNNNKNCNKKKKN"
+            "NNNNKNNNNNNNNNNKNCKKNNNNKNNNNN");
+}
+
 TEST(FaultInjector, DisablingOneClassDoesNotShiftAnother) {
   // One uniform draw per frame against cumulative thresholds: zeroing the
   // send-drop class must not move *which frames* the corruption class hits
@@ -359,17 +382,6 @@ TEST(Inproc, ReceiveTimeoutElapsesWithoutClosingTheLink) {
   closer.join();
 }
 
-TEST(Inproc, ConditionerAccountsBytesWithoutSleeping) {
-  NetworkConditioner cond;
-  cond.latency_s = 10.0;  // would be a 10s sleep if time_scale were 1
-  cond.bandwidth_bytes_per_s = 1.0;
-  cond.time_scale = 0.0;
-  auto [a, b] = make_inproc_pair(cond);
-  a->send(Message::bye());
-  EXPECT_TRUE(b->receive().has_value());
-  EXPECT_NEAR(cond.transfer_seconds(100), 110.0, 1e-9);
-}
-
 TEST(InprocAcceptor, ConnectAcceptPairs) {
   InprocAcceptor acceptor;
   auto client = acceptor.connect();
@@ -379,6 +391,28 @@ TEST(InprocAcceptor, ConnectAcceptPairs) {
   EXPECT_EQ(server->receive()->text, "hi");
   acceptor.close();
   EXPECT_EQ(acceptor.accept(), nullptr);
+}
+
+TEST(Link, ZeroTimeScaleLogsDelayWithoutSleeping) {
+  LinkProfile profile;
+  profile.up.latency_s = 10.0;  // a 10 s sleep if time_scale were 1
+  profile.up.bandwidth_bytes_per_s = 1.0;
+  profile.up.time_scale = 0.0;
+  auto conditioner = std::make_shared<LinkConditioner>(profile);
+  auto [a, b] = make_inproc_pair();
+  auto client = condition_connection(std::move(a), conditioner, LinkDir::Up);
+
+  const auto before = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client->send(Message::bye()));
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - before)
+          .count();
+  EXPECT_LT(took, 1.0);
+  EXPECT_TRUE(b->receive().has_value());
+  const double expected =
+      10.0 + static_cast<double>(framed_size(Message::bye()));
+  EXPECT_EQ(conditioner->delays(LinkDir::Up), std::vector<double>{expected});
+  EXPECT_NEAR(profile.up.transfer_seconds(100), 110.0, 1e-9);
 }
 
 /// Drives one conditioned inproc connection with concurrent traffic in both

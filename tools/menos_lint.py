@@ -45,6 +45,12 @@ Rules (see docs/ANALYSIS.md for rationale and examples):
                          compiles out in Release builds, so a side effect in
                          its argument makes Debug and Release behave
                          differently — the worst possible heisenbug.
+  raw-sleep              No std::this_thread::sleep_for/sleep_until in src/
+                         outside src/net/link.cc — link delay, jitter and
+                         loss have one model (net::condition_connection);
+                         a sleep anywhere else is a second, unseeded one.
+                         The few deliberate waits (retry backoff, compute
+                         emulation) carry a NOLINT saying so.
   mutex-name             Every util::Mutex member in src/ carries a lock
                          class name (and usually a rank) for the deadlock
                          detector: `Mutex m_{"area.role", N};`. A mutex
@@ -172,6 +178,7 @@ RAW_MUTEX_RE = re.compile(
 NONDET_RE = re.compile(r"std::rand\b|\bsrand\s*\(|std::random_device\b")
 RAW_THREAD_RE = re.compile(r"std::j?thread\b(?!::)|std::async\s*\(")
 RAW_CLOSE_RE = re.compile(r"::close\s*\(|::shutdown\s*\(")
+RAW_SLEEP_RE = re.compile(r"\bsleep_(?:for|until)\s*\(")
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:(?:menos::)?util::)?Mutex\s+(\w+)\s*"
     r"(\{[^}]*\})?\s*;"
@@ -252,6 +259,16 @@ def check_raw_close(path: Path, raw: str) -> list:
         message="raw ::close()/::shutdown() — file descriptors belong to "
                 "src/net, whose deferred-close protocol prevents the "
                 "fd-reuse race (docs/FAULTS.md)")
+
+
+def check_raw_sleep(path: Path, raw: str) -> list:
+    return check_pattern_rule(
+        path, raw, "raw-sleep", RAW_SLEEP_RE,
+        exempt=lambda p: "src" not in p.parts or
+        p.parts[-2:] == ("net", "link.cc"),
+        message="raw sleep — frame delay belongs to net::condition_connection "
+                "(src/net/link.cc); other deliberate waits carry a justified "
+                "NOLINT")
 
 
 def check_mutex_annotation(path: Path, raw: str) -> list:
@@ -425,6 +442,7 @@ ALL_RULES = [
     check_nondeterminism,
     check_raw_thread,
     check_raw_close,
+    check_raw_sleep,
     check_mutex_annotation,
     check_kernel_scratch,
     check_check_side_effect,
@@ -517,6 +535,21 @@ SELF_TEST_CASES = [
     ("src/core/ok_close_nolint.cc",
      "void f(int fd) { ::close(fd); }  // NOLINT(raw-close) inherited fd\n",
      None),
+    ("src/net/bad_sleep.cc",
+     "void f() { std::this_thread::sleep_for(std::chrono::seconds(1)); }\n",
+     "raw-sleep"),  # a second delay path beside the link model
+    ("src/core/bad_sleep_until.cc",
+     "void f(T t) { std::this_thread::sleep_until(t); }\n", "raw-sleep"),
+    ("src/net/link.cc",
+     "void f() { std::this_thread::sleep_for(std::chrono::seconds(1)); }\n",
+     None),  # the one link-delay seam
+    ("src/core/ok_sleep_nolint.cc",
+     "void f() { std::this_thread::sleep_for(d); }"
+     "  // NOLINT(raw-sleep) retry backoff\n",
+     None),
+    ("tests/ok_test_sleep.cc",
+     "void f() { std::this_thread::sleep_for(d); }\n",
+     None),  # test drivers may wait on wall-clock time
     ("src/util/rng_extra.cc", "#include <random>\nstd::random_device rd;\n",
      None),  # rng* files are the sanctioned home for entropy
     ("src/core/ok_comment.cc", "// std::mutex is banned here, use util::Mutex\n",
