@@ -51,9 +51,11 @@ class Device {
   virtual MemoryStats stats() const = 0;
 
   /// Reset the high-water mark to the current allocation level and return
-  /// that level, read under the same lock — so a concurrent free cannot
-  /// leave the returned base above the new peak. Used by the profiler to
-  /// measure the footprint of a single forward/backward pass.
+  /// that level. The returned base is <= every later peak and the peak
+  /// stays >= allocated, whatever allocations and frees run concurrently —
+  /// so a concurrent free cannot leave the base above the new peak. Used by
+  /// the profiler to measure the footprint of a single forward/backward
+  /// pass.
   virtual std::size_t reset_peak() = 0;
 
   /// Live bytes right now (shorthand for stats().allocated).
@@ -82,7 +84,8 @@ int decorator_lock_rank(int base_rank, const Device* inner) noexcept;
 /// The host: unlimited capacity, but still metered (swap experiments report
 /// host-side footprints too). Both factories' meters keep freed blocks, up
 /// to their peak of live bytes, for the next request of the same byte
-/// count; no stat and no capacity sees them (docs/MEMORY.md).
+/// count — a little in each thread, the rest in one shared list; no stat
+/// and no capacity sees them (docs/MEMORY.md).
 std::unique_ptr<Device> make_host_device(std::string name = "host");
 
 /// A capacity-limited simulated GPU.

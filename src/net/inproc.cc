@@ -42,8 +42,9 @@ class InprocConnection final : public Connection {
 
   bool send(const Message& message) override {
     if (out_->queue.closed()) return false;
-    // Wire-size accounting uses the real encoded size so the comm-time
-    // model sees exactly what TCP would carry.
+    // Wire-size accounting uses the exact frame size, added up from the
+    // message's fields without encoding it, so the comm-time model sees
+    // what TCP would carry.
     const std::size_t frame_bytes = framed_size(message);
     // The peer may have closed since the check above: a push onto a closed
     // queue is dropped, and a dropped frame must not count as sent or the

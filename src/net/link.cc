@@ -20,8 +20,8 @@ class ConditionedConnection final : public Connection {
         send_dir_(send_dir) {}
 
   bool send(const Message& message) override {
-    // Wire-size accounting uses the real encoded size so the delay model
-    // sees exactly what TCP would carry.
+    // The delay model sees the exact frame size TCP would carry, added up
+    // from the message's fields without encoding it.
     const std::size_t frame_bytes = framed_size(message);
     const double delay = conditioner_->next_delay(send_dir_, frame_bytes);
     const NetworkConditioner& shape = send_dir_ == LinkDir::Up
@@ -91,13 +91,30 @@ double LinkConditioner::next_delay(LinkDir dir, std::size_t bytes) {
   if (profile_.jitter_s > 0.0) {
     delay += state.rng.next_double() * profile_.jitter_s;
   }
-  state.log.push_back(delay);
+  if (state.log.size() < kDelayLogCap) {
+    state.log.push_back(delay);
+  } else {
+    state.log[state.drawn % kDelayLogCap] = delay;
+  }
+  ++state.drawn;
   return delay;
 }
 
 std::vector<double> LinkConditioner::delays(LinkDir dir) const {
   util::MutexLock lock(mutex_);
-  return dir == LinkDir::Up ? up_.log : down_.log;
+  const DirState& state = dir_state(dir);
+  // Once the ring has wrapped, the oldest retained draw sits where the
+  // next one will go.
+  const auto oldest = static_cast<std::ptrdiff_t>(
+      state.log.size() < kDelayLogCap ? 0 : state.drawn % kDelayLogCap);
+  std::vector<double> out(state.log.begin() + oldest, state.log.end());
+  out.insert(out.end(), state.log.begin(), state.log.begin() + oldest);
+  return out;
+}
+
+std::uint64_t LinkConditioner::drawn(LinkDir dir) const {
+  util::MutexLock lock(mutex_);
+  return dir_state(dir).drawn;
 }
 
 std::unique_ptr<Connection> condition_connection(

@@ -12,10 +12,13 @@
 // profile seed, and sends in one direction are serialized (the client's
 // thread; the server session's strand), so a given seed yields the same
 // per-frame delay sequence on every run regardless of poller timing. The
-// conditioner logs every drawn delay per direction so tests can pin this.
+// conditioner logs the last kDelayLogCap drawn delays per direction, and
+// counts every draw, so tests can pin this without the log growing by one
+// entry per frame forever.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -81,6 +84,9 @@ struct LinkProfile {
 /// Both endpoints of a conditioned connection hold the same instance.
 class LinkConditioner {
  public:
+  /// Draws the delay log keeps per direction: the most recent ones.
+  static constexpr std::size_t kDelayLogCap = 4096;
+
   explicit LinkConditioner(const LinkProfile& profile);
 
   const LinkProfile& profile() const noexcept { return profile_; }
@@ -91,9 +97,12 @@ class LinkConditioner {
   /// condition_connection).
   double next_delay(LinkDir dir, std::size_t bytes);
 
-  /// Every delay drawn so far in `dir` (unscaled), in send order — the
-  /// determinism regression surface.
+  /// The last min(drawn(dir), kDelayLogCap) delays drawn in `dir`
+  /// (unscaled), in send order — the determinism regression surface.
   std::vector<double> delays(LinkDir dir) const;
+
+  /// Every delay drawn so far in `dir`, retained in the log or not.
+  std::uint64_t drawn(LinkDir dir) const;
 
   /// Shared loss stream; nullptr when the profile has loss_prob == 0.
   const std::shared_ptr<FaultInjector>& injector() const noexcept {
@@ -103,10 +112,14 @@ class LinkConditioner {
  private:
   struct DirState {
     util::Rng rng;
-    std::vector<double> log;
+    std::vector<double> log;  // ring of the last kDelayLogCap draws
+    std::uint64_t drawn = 0;  // draw i sits at log[i % kDelayLogCap]
   };
 
   DirState& dir_state(LinkDir dir) MENOS_REQUIRES(mutex_) {
+    return dir == LinkDir::Up ? up_ : down_;
+  }
+  const DirState& dir_state(LinkDir dir) const MENOS_REQUIRES(mutex_) {
     return dir == LinkDir::Up ? up_ : down_;
   }
 

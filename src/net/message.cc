@@ -159,7 +159,48 @@ Message Message::resume_ack(std::uint64_t session_token,
 
 namespace {
 
-void put_tensor(Writer& w, const WireTensor& t, ActivationCodec codec) {
+/// Takes the same put_* calls as Writer but only adds up their sizes, so
+/// framed_size follows the encoder field for field without encoding.
+class SizeCounter {
+ public:
+  void reserve(std::size_t) {}
+  void put_u8(std::uint8_t) { size_ += 1; }
+  void put_u64(std::uint64_t) { size_ += 8; }
+  void put_i64(std::int64_t) { size_ += 8; }
+  void put_f32(float) { size_ += 4; }
+  void put_f64(double) { size_ += 8; }
+  void put_string(const std::string& s) { size_ += 8 + s.size(); }
+  void put_bytes(const std::vector<std::uint8_t>& b) { size_ += 8 + b.size(); }
+  void put_f32_array(const float*, std::size_t n) {
+    size_ += 8 + n * sizeof(float);
+  }
+  void put_raw(std::size_t bytes) { size_ += bytes; }
+
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Int8 rows: one f32 scale per row, then one code byte per element.
+void put_int8_rows(Writer& w, const float* data, std::size_t rows,
+                   std::size_t cols) {
+  std::vector<float> scales;
+  std::vector<std::uint8_t> codes;
+  quant::int8_rowwise_encode(data, rows, cols, scales, codes);
+  w.put_f32_array(scales.data(), scales.size());
+  w.put_bytes(codes);
+}
+
+void put_int8_rows(SizeCounter& w, const float*, std::size_t rows,
+                   std::size_t cols) {
+  w.put_f32_array(nullptr, rows);
+  w.put_u64(rows * cols);  // the codes' length prefix...
+  w.put_raw(rows * cols);  // ...and the codes
+}
+
+template <typename W>
+void put_tensor(W& w, const WireTensor& t, ActivationCodec codec) {
   // Activation-sized payloads dominate the frame; size the buffer once so
   // the per-dimension and per-element appends never reallocate.
   w.reserve(8 + t.shape.size() * 8 + 1 + 8 + t.data.size() * sizeof(float));
@@ -178,11 +219,7 @@ void put_tensor(Writer& w, const WireTensor& t, ActivationCodec codec) {
       const std::size_t cols =
           t.shape.empty() ? 0 : static_cast<std::size_t>(t.shape.back());
       const std::size_t rows = cols > 0 ? t.data.size() / cols : 0;
-      std::vector<float> scales;
-      std::vector<std::uint8_t> codes;
-      quant::int8_rowwise_encode(t.data.data(), rows, cols, scales, codes);
-      w.put_f32_array(scales.data(), scales.size());
-      w.put_bytes(codes);
+      put_int8_rows(w, t.data.data(), rows, cols);
       break;
     }
   }
@@ -229,7 +266,8 @@ WireTensor get_tensor(Reader& r, ActivationCodec& codec_out) {
   return t;
 }
 
-void put_config(Writer& w, const FinetuneConfig& c) {
+template <typename W>
+void put_config(W& w, const FinetuneConfig& c) {
   w.put_string(c.client_name);
   w.put_u8(static_cast<std::uint8_t>(c.model.family));
   w.put_i64(c.model.vocab_size);
@@ -320,10 +358,8 @@ FinetuneConfig get_config(Reader& r) {
   return c;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_message(const Message& message) {
-  Writer w;
+template <typename W>
+void put_message(W& w, const Message& message) {
   w.put_u8(static_cast<std::uint8_t>(message.type));
   switch (message.type) {
     case MessageType::Hello:
@@ -368,6 +404,13 @@ std::vector<std::uint8_t> encode_message(const Message& message) {
       w.put_u64(message.iteration);
       break;
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_message(const Message& message) {
+  Writer w;
+  put_message(w, message);
   return w.take();
 }
 
@@ -445,8 +488,9 @@ std::vector<std::uint8_t> frame_message(const Message& message) {
 }
 
 std::size_t framed_size(const Message& message) {
-  return kFrameHeaderBytes + encode_message(message).size() +
-         kFrameTrailerBytes;
+  SizeCounter counter;
+  put_message(counter, message);
+  return kFrameHeaderBytes + counter.size() + kFrameTrailerBytes;
 }
 
 Message parse_frame(const std::uint8_t* data, std::size_t size) {

@@ -207,7 +207,8 @@ Message decode_message(const std::uint8_t* data, std::size_t size);
 /// Full frame: magic, payload length, payload, CRC-32 of the payload.
 std::vector<std::uint8_t> frame_message(const Message& message);
 
-/// frame_message(message).size(), without building the frame or its CRC.
+/// frame_message(message).size(), added up from the message's fields and
+/// tensor sizes: nothing is encoded, so sizing a frame costs no copy.
 std::size_t framed_size(const Message& message);
 
 /// Frame constants shared with the TCP reassembly loop.

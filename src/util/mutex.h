@@ -23,11 +23,21 @@
 // (docs/ANALYSIS.md tabulates the conventions), and the first inverted
 // acquisition aborts with both hold-stacks. tools/menos_lint.py rule
 // `mutex-name` requires every Mutex member in src/ to be named.
+//
+// Every named Mutex also counts its contention per lock class: lock()
+// first tries the lock, and only when that fails does it read the clock,
+// park, and add one contended acquisition and its park time to the class.
+// The uncontended path costs no atomic and no clock read.
+// lock_contention() snapshots the counts (docs/ANALYSIS.md).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "util/thread_annotations.h"
 
@@ -39,6 +49,28 @@ namespace menos::util {
 
 class CondVar;
 
+/// Contention of one lock class: every Mutex constructed with its name.
+struct LockContention {
+  std::string name;
+  std::uint64_t contended = 0;  ///< acquisitions whose first try failed
+  double park_seconds = 0.0;    ///< summed wait of those acquisitions
+};
+
+/// Every lock class named so far, in order of first construction.
+std::vector<LockContention> lock_contention();
+
+namespace detail {
+
+struct ContentionCounter {
+  std::atomic<std::uint64_t> contended{0};
+  std::atomic<std::uint64_t> park_ns{0};
+};
+
+/// The process-wide counter of lock class `name` (interned, never freed).
+ContentionCounter* contention_counter(const char* name);
+
+}  // namespace detail
+
 /// Annotated standard mutex.
 class MENOS_CAPABILITY("mutex") Mutex {
  public:
@@ -48,11 +80,11 @@ class MENOS_CAPABILITY("mutex") Mutex {
   /// (0 = unranked) places the class in the global acquisition order —
   /// nonzero ranks must be acquired in ascending order.
   explicit Mutex(const char* name, int rank = 0)
+      : counter_(detail::contention_counter(name))
 #ifdef MENOS_DEADLOCK_DETECT
-      : cls_(check::intern_lock_class(name, rank))
+        , cls_(check::intern_lock_class(name, rank))
 #endif
   {
-    (void)name;
     (void)rank;
   }
 
@@ -65,7 +97,7 @@ class MENOS_CAPABILITY("mutex") Mutex {
     // real, the diagnostic must get out first.
     if (cls_ != nullptr) check::note_acquire(cls_, this);
 #endif
-    m_.lock();
+    if (!m_.try_lock()) lock_contended();
   }
 
   void unlock() MENOS_RELEASE() {
@@ -87,7 +119,25 @@ class MENOS_CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
+
+  void lock_contended() {
+    if (counter_ == nullptr) {
+      m_.lock();
+      return;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    m_.lock();
+    const auto parked = std::chrono::steady_clock::now() - start;
+    counter_->contended.fetch_add(1, std::memory_order_relaxed);
+    counter_->park_ns.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(parked)
+                .count()),
+        std::memory_order_relaxed);
+  }
+
   std::mutex m_;
+  detail::ContentionCounter* counter_ = nullptr;  // unnamed: not counted
 #ifdef MENOS_DEADLOCK_DETECT
   const check::LockClass* cls_ = nullptr;
 #endif

@@ -258,6 +258,43 @@ TEST_F(SimGpuTest, CrossThreadReuseKeepsAccountingExact) {
   EXPECT_EQ(s.lifetime_frees, s.lifetime_allocs);
 }
 
+TEST(MeteredDevice, ThreadsOutliveADeviceTheyCacheBlocksOf) {
+  // Worker threads keep idle blocks of a device in their own caches. The
+  // device is destroyed while they are parked; on their next meter call
+  // (another device) they drop its blocks, and at exit they return the
+  // rest. Under ASan/LSan a block dropped twice, touched after release or
+  // never released fails this test; elsewhere it pins that the surviving
+  // device's accounting stays exact.
+  auto doomed = make_sim_gpu("doomed", 1u << 20);
+  auto survivor = make_sim_gpu("survivor", 1u << 20);
+  constexpr int kThreads = 3;
+  std::atomic<int> phase{0};
+  std::atomic<int> parked{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t bytes : {512u, 4096u, 4096u, 16384u}) {
+        doomed->deallocate(doomed->allocate(bytes), bytes);
+      }
+      parked.fetch_add(1);
+      while (phase.load() == 0) std::this_thread::yield();
+      for (int i = 0; i < 10; ++i) {
+        void* p = survivor->allocate(4096);
+        survivor->deallocate(p, 4096);
+      }
+    });
+  }
+  while (parked.load() < kThreads) std::this_thread::yield();
+  EXPECT_EQ(doomed->stats().lifetime_frees, 4u * kThreads);
+  doomed.reset();
+  phase.store(1);
+  for (auto& th : threads) th.join();
+  const MemoryStats s = survivor->stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.lifetime_allocs, 10u * kThreads);
+  EXPECT_EQ(s.lifetime_frees, 10u * kThreads);
+}
+
 #ifdef __SANITIZE_ADDRESS__
 TEST(MeteredDeviceDeathTest, ReadingAnIdleBlockIsReported) {
   // An idle block is poisoned: a read of freed tensor storage is still an

@@ -11,6 +11,7 @@
 #include "net/link.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "util/rng.h"
 
 namespace menos::net {
 namespace {
@@ -163,6 +164,53 @@ TEST(Message, AllTypesEncodeDecode) {
           << activation_codec_name(codec);
     }
   }
+}
+
+TEST(Message, FramedSizeMatchesTheFrameForRandomMessages) {
+  // framed_size adds the frame up from fields instead of encoding it: over
+  // seeded random messages of every type, both codecs, odd tensor shapes
+  // (rank 0, zero-sized dims) and varying string/blob lengths, it must
+  // equal the built frame's size byte for byte.
+  util::Rng rng(20261019);
+  const auto random_tensor = [&rng] {
+    WireTensor t;
+    t.shape.resize(rng.next_below(4));
+    std::size_t numel = 1;
+    for (auto& d : t.shape) {
+      d = static_cast<std::int64_t>(rng.next_below(6));
+      numel *= static_cast<std::size_t>(d);
+    }
+    t.data.resize(numel);
+    for (float& x : t.data) x = rng.uniform(-3.0f, 3.0f);
+    return t;
+  };
+  const auto random_bytes = [&rng] {
+    std::vector<std::uint8_t> b(rng.next_below(40));
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_below(256));
+    return b;
+  };
+  int checked = 0;
+  for (int i = 0; i < 400; ++i) {
+    for (int raw = 1; raw <= 16; ++raw) {
+      Message m;
+      m.type = static_cast<MessageType>(raw);
+      m.config = sample_config();
+      m.config.client_name = std::string(rng.next_below(30), 'c');
+      m.tensor = random_tensor();
+      m.tensor_codec = rng.next_below(2) == 0 ? ActivationCodec::None
+                                              : ActivationCodec::Int8;
+      m.iteration = rng.next_u64();
+      m.text = std::string(rng.next_below(50), 't');
+      m.blob = random_bytes();
+      m.session_token = rng.next_u64();
+      ASSERT_EQ(framed_size(m), frame_message(m).size())
+          << message_type_name(m.type) << " / "
+          << activation_codec_name(m.tensor_codec) << " / rank "
+          << m.tensor.shape.size() << " / iteration " << i;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 400 * 16);
 }
 
 TEST(Message, FaultToleranceFieldsRoundTrip) {
@@ -506,6 +554,34 @@ TEST(Link, PerConnectionLinksAreIndependent) {
   EXPECT_EQ(link_b->delays(LinkDir::Up).size(), 1u);
   // Same seed, same frame sizes: the first draw of each link matches.
   EXPECT_EQ(link_a->delays(LinkDir::Up)[0], link_b->delays(LinkDir::Up)[0]);
+}
+
+TEST(Link, DelayLogKeepsTheLastDrawsInSendOrder) {
+  // The log is a window of the most recent draws, not one entry per frame
+  // forever; drawn() still counts every draw. Frame i is i bytes at 1 B/s,
+  // so its delay is exactly i and the window's content is checkable.
+  LinkProfile profile;
+  profile.up.bandwidth_bytes_per_s = 1.0;
+  profile.up.time_scale = 0.0;
+  LinkConditioner link(profile);
+  constexpr std::size_t kCap = LinkConditioner::kDelayLogCap;
+  constexpr std::size_t kExtra = 37;
+  for (std::size_t i = 0; i < kCap + kExtra; ++i) {
+    link.next_delay(LinkDir::Up, i);
+    if (i == kCap - 1) {
+      // Exactly full: everything drawn is still there.
+      EXPECT_EQ(link.delays(LinkDir::Up).size(), kCap);
+      EXPECT_EQ(link.delays(LinkDir::Up).front(), 0.0);
+    }
+  }
+  const std::vector<double> window = link.delays(LinkDir::Up);
+  ASSERT_EQ(window.size(), kCap);
+  for (std::size_t j = 0; j < kCap; ++j) {
+    ASSERT_EQ(window[j], static_cast<double>(kExtra + j)) << "entry " << j;
+  }
+  EXPECT_EQ(link.drawn(LinkDir::Up), kCap + kExtra);
+  EXPECT_EQ(link.drawn(LinkDir::Down), 0u);
+  EXPECT_TRUE(link.delays(LinkDir::Down).empty());
 }
 
 TEST(Tcp, EndToEndMessages) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/crc32.h"
+#include "util/mutex.h"
 #include "util/queue.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -206,6 +210,47 @@ TEST(WaitGroup, WaitsForAll) {
   wg.wait();
   EXPECT_EQ(done.load(), 4);
   for (auto& t : threads) t.join();
+}
+
+LockContention contention_of(const std::string& name) {
+  for (const LockContention& c : lock_contention()) {
+    if (c.name == name) return c;
+  }
+  ADD_FAILURE() << "lock class '" << name << "' was never registered";
+  return {};
+}
+
+TEST(LockContention, ContendedAcquisitionIsCounted) {
+  Mutex mu("test.contended");
+  std::atomic<bool> waiter_started{false};
+  mu.lock();
+  std::thread waiter([&] {
+    waiter_started.store(true);
+    mu.lock();  // blocks: the main thread holds it
+    mu.unlock();
+  });
+  while (!waiter_started.load()) std::this_thread::yield();
+  // Hold on long enough that the waiter's first try surely ran.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  mu.unlock();
+  waiter.join();
+  const LockContention c = contention_of("test.contended");
+  EXPECT_EQ(c.contended, 1u);
+  EXPECT_GT(c.park_seconds, 0.0);
+}
+
+TEST(LockContention, UncontendedMutexIsNotCounted) {
+  Mutex a("test.uncontended");
+  Mutex b("test.uncontended");  // same class, never held together
+  for (int i = 0; i < 1000; ++i) {
+    MutexLock la(a);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    MutexLock lb(b);
+  }
+  const LockContention c = contention_of("test.uncontended");
+  EXPECT_EQ(c.contended, 0u);
+  EXPECT_EQ(c.park_seconds, 0.0);
 }
 
 TEST(RunningStat, MeanMinMax) {
