@@ -72,13 +72,23 @@ inline void write_environment(std::FILE* f, int executor_threads = 0) {
 /// The gated benches' command line: `[out.json] [--check-floor R]`. R is
 /// parsed strictly: the whole argument must be a finite number > 0 ("3",
 /// "1.8"; not "3x", "abc" or a missing value), because a floor that reads
-/// as 0 would silently switch the gate off. On a bad argument prints why
-/// and returns false; callers then exit 2. `*floor` is left untouched when
-/// no floor is given.
+/// as 0 would silently switch the gate off. Any other argument starting
+/// with '-' is an unknown flag, not an output path: a misspelt
+/// `--check-flor 1.8` would otherwise write the JSON to a file named
+/// "1.8" with the gate off. On a bad argument prints why (and the usage)
+/// and returns false; callers then exit 2. `*floor` is left untouched
+/// when no floor is given.
 inline bool parse_gate_args(int argc, char** argv, std::string* out_path,
                             double* floor) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check-floor") != 0) {
+      if (argv[i][0] == '-') {
+        std::fprintf(stderr,
+                     "unknown option '%s'\nusage: %s [out.json] "
+                     "[--check-floor R]\n",
+                     argv[i], argv[0]);
+        return false;
+      }
       *out_path = argv[i];
       continue;
     }

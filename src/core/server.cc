@@ -93,13 +93,19 @@ Server::Server(const ServerConfig& config, gpusim::DeviceManager& devices,
       batching_->begin_group(grant, std::move(members));
       return;
     }
-    util::MutexLock lock(sessions_mutex_);
-    for (auto& session : sessions_) {
-      if (session->id() == grant.client_id) {
-        session->on_grant(grant);
-        return;
+    // Single grant: as above, find the session under the lock and post
+    // its grant after the lock drops.
+    std::shared_ptr<ServingSession> target;
+    {
+      util::MutexLock lock(sessions_mutex_);
+      for (auto& session : sessions_) {
+        if (session->id() == grant.client_id) {
+          target = session;
+          break;
+        }
       }
     }
+    if (target != nullptr) target->on_grant(grant);
   });
 }
 

@@ -9,8 +9,14 @@
 //       pack B[pc:pc+KC, jc:jc+NC] into contiguous NR-wide strips
 //       parallel_for over MR-row strips of C        <- the ONLY fork point
 //         for ic : MC-tall row blocks of this thread's range
-//           pack A[ic:ic+MC, pc:pc+KC] into MR-wide strips (thread scratch)
-//           for each (MR x NR) tile: micro-kernel
+//           copy the matrix's last strip if it is partial (thread scratch)
+//           for each (MR x NR) tile: micro-kernel, A read in place
+//
+// Unlike GotoBLAS, A is not packed: the micro-kernel takes A's row and
+// column strides and broadcasts each element from where it lies (the
+// observation behind BLIS's unpacked small-matrix path: when K fits one
+// KC panel, as at the trunk's shapes, copying A costs a full pass over it
+// that the few B strips reading it never pay back).
 //
 // The micro-kernel keeps an MR x NR accumulator block in vector registers
 // and adds one rank-1 update per contraction step p, p ascending. Because C
@@ -20,7 +26,7 @@
 // multiply-adds regardless of MC/NC/KC, chunk boundaries, or thread count
 // — which is exactly what the serial *_ref kernels compute.
 //
-// Scratch never touches the gpusim Device layer: packing buffers are
+// Scratch never touches the gpusim Device layer: staging buffers are
 // per-thread aligned pools from util/aligned.h (the `kernel-scratch` lint
 // rule enforces this).
 #include "tensor/kernels.h"
@@ -29,7 +35,7 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__FMA__)
+#if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
@@ -127,57 +133,146 @@ inline Vec vmadd(Vec acc, float a, Vec b) {
 #define MENOS_SCALAR_ONLY
 #endif
 
-// Scratch slots (per thread, util::scratch_floats): 0 = A panels packed by
-// whichever thread runs the row chunk, 1 = the shared B panel packed by
-// the dispatching thread (or by each thread in an attention head's
-// self-packing product — still its own slot, never shared).
+// Scratch slots (per thread, util::scratch_floats): 0 = the partial last
+// A strip, packed by whichever thread runs it, 1 = the shared B panel
+// packed by the dispatching thread (or by each thread in an attention
+// head's self-packing product — still its own slot, never shared).
 constexpr int kScratchA = 0;
 constexpr int kScratchB = 1;
 
-// ----- packing -----
+// ----- operand staging -----
 //
-// A is packed contraction-major in MR-wide row strips: ap[s][p*MR + i]
-// holds A-element (strip_row s*MR+i, contraction p). B likewise in NR-wide
-// column strips: bp[s][p*NR + j]. Partial strips are zero-padded; padded
+// A is read where it lies: element (i, p) at a[i * rs + p * cs], row-major
+// (rs = lda, cs = 1) or transposed (rs = 1, cs = lda), one broadcast per
+// element. Only a strip that would run past the matrix's last row — the
+// final, partial MR strip — is copied, contraction-major and zero-padded:
+// ap[p * MR + i] (rs = 1, cs = MR).
+//
+// B is packed in NR-wide column strips, bp[s][p * NR + j], so the kernel
+// loads each step's NR values as whole vectors. Read in place instead, a
+// strip of an untransposed B at ld 128 or 512 walks a few L1 sets (a
+// prototype ran 512^3 mm ~1.35x slower that way). Partial strips are zero-padded; padded
 // lanes are computed and discarded, never stored.
 
-/// `trans == false`: element (i, p) at a[i * lda + p] (A row-major).
-/// `trans == true` : element (i, p) at a[p * lda + i] (A^T view).
-void pack_a(const float* __restrict__ a, Index lda, bool trans, Index mc,
-            Index kc, float* __restrict__ ap) {
-  for (Index i0 = 0; i0 < mc; i0 += kMR) {
-    const Index mr = std::min<Index>(kMR, mc - i0);
-    if (trans) {
-      for (Index p = 0; p < kc; ++p) {
-        const float* src = a + p * lda + i0;
-        for (Index ii = 0; ii < kMR; ++ii) {
-          ap[p * kMR + ii] = ii < mr ? src[ii] : 0.0f;
-        }
-      }
-    } else {
-      for (Index p = 0; p < kc; ++p) {
-        for (Index ii = 0; ii < kMR; ++ii) {
-          ap[p * kMR + ii] = ii < mr ? a[(i0 + ii) * lda + p] : 0.0f;
-        }
-      }
+/// Copy the mr (< MR) rows of an A strip, element (i, p) at
+/// a[i * rs + p * cs], to ap[p * MR + i], rows mr.. zero.
+void pack_a_strip(const float* __restrict__ a, Index rs, Index cs, Index mr,
+                  Index kc, float* __restrict__ ap) {
+  for (Index p = 0; p < kc; ++p) {
+    for (Index i = 0; i < kMR; ++i) {
+      ap[p * kMR + i] = i < mr ? a[i * rs + p * cs] : 0.0f;
     }
-    ap += kc * kMR;
   }
 }
 
-/// `trans == false`: element (p, j) at b[p * ldb + j] (B row-major).
-/// `trans == true` : element (p, j) at b[j * ldb + p] (B^T view).
-/// A copy, so the loop order is free: each source row is read contiguously
-/// (one memcpy per strip row untransposed), and only a partial strip's
-/// padding lanes are zeroed.
+/// Side of the square block transpose_block() moves through registers:
+/// one vector of rows by one vector of columns.
+constexpr Index kTB = kVecLanes;
+
+/// dst[c * ldd + r] = src[r * lds + c] for r, c < kTB, in registers: a
+/// 16x16 block on AVX-512, 8x8 on AVX and 4x4 on SSE2 (a scalar loop on
+/// other targets). A copy, so it cannot change any result.
+inline void transpose_block(const float* __restrict__ src, Index lds,
+                            float* __restrict__ dst, Index ldd) {
+#if defined(__AVX512F__)
+  // Pairs of rows interleave by float, then by float pair: after that,
+  // r[4g + c]'s 128-bit lane L holds rows 4g..4g+3 of column 4L + c. Two
+  // rounds of 128-bit lane shuffles then gather column 4L + c's four
+  // lanes. The maskz forms with a full mask are the plain instructions;
+  // unlike the unmasked intrinsics they pass no undefined vector through,
+  // which GCC 12 reports as -Wuninitialized at -O2.
+  constexpr __mmask16 kAll = 0xFFFF;
+  constexpr __mmask8 kAll8 = 0xFF;
+  __m512 r[16], t[16];
+  for (int i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * lds);
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_maskz_unpacklo_ps(kAll, r[i], r[i + 1]);
+    t[i + 1] = _mm512_maskz_unpackhi_ps(kAll, r[i], r[i + 1]);
+  }
+  for (int i = 0; i < 16; i += 4) {
+    const __m512d lo0 = _mm512_castps_pd(t[i]);
+    const __m512d lo1 = _mm512_castps_pd(t[i + 2]);
+    const __m512d hi0 = _mm512_castps_pd(t[i + 1]);
+    const __m512d hi1 = _mm512_castps_pd(t[i + 3]);
+    r[i] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAll8, lo0, lo1));
+    r[i + 1] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAll8, lo0, lo1));
+    r[i + 2] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAll8, hi0, hi1));
+    r[i + 3] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAll8, hi0, hi1));
+  }
+  for (int c = 0; c < 4; ++c) {
+    const __m512 v0 = _mm512_maskz_shuffle_f32x4(kAll, r[c], r[4 + c], 0x44);
+    const __m512 v1 = _mm512_maskz_shuffle_f32x4(kAll, r[c], r[4 + c], 0xEE);
+    const __m512 v2 =
+        _mm512_maskz_shuffle_f32x4(kAll, r[8 + c], r[12 + c], 0x44);
+    const __m512 v3 =
+        _mm512_maskz_shuffle_f32x4(kAll, r[8 + c], r[12 + c], 0xEE);
+    _mm512_storeu_ps(dst + (c + 0) * ldd,
+                     _mm512_maskz_shuffle_f32x4(kAll, v0, v2, 0x88));
+    _mm512_storeu_ps(dst + (c + 4) * ldd,
+                     _mm512_maskz_shuffle_f32x4(kAll, v0, v2, 0xDD));
+    _mm512_storeu_ps(dst + (c + 8) * ldd,
+                     _mm512_maskz_shuffle_f32x4(kAll, v1, v3, 0x88));
+    _mm512_storeu_ps(dst + (c + 12) * ldd,
+                     _mm512_maskz_shuffle_f32x4(kAll, v1, v3, 0xDD));
+  }
+#elif defined(__AVX__)
+  __m256 r[8], t[8];
+  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // r[4h + c]'s 128-bit half L holds rows 4h..4h+3 of column 4L + c.
+  for (int h = 0; h < 8; h += 4) {
+    r[h] = _mm256_shuffle_ps(t[h], t[h + 2], 0x44);
+    r[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], 0xEE);
+    r[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0x44);
+    r[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0xEE);
+  }
+  for (int c = 0; c < 4; ++c) {
+    _mm256_storeu_ps(dst + c * ldd,
+                     _mm256_permute2f128_ps(r[c], r[4 + c], 0x20));
+    _mm256_storeu_ps(dst + (c + 4) * ldd,
+                     _mm256_permute2f128_ps(r[c], r[4 + c], 0x31));
+  }
+#elif defined(__SSE2__)
+  __m128 r0 = _mm_loadu_ps(src), r1 = _mm_loadu_ps(src + lds);
+  __m128 r2 = _mm_loadu_ps(src + 2 * lds), r3 = _mm_loadu_ps(src + 3 * lds);
+  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+  _mm_storeu_ps(dst, r0);
+  _mm_storeu_ps(dst + ldd, r1);
+  _mm_storeu_ps(dst + 2 * ldd, r2);
+  _mm_storeu_ps(dst + 3 * ldd, r3);
+#else
+  for (Index r = 0; r < kTB; ++r) {
+    for (Index c = 0; c < kTB; ++c) dst[c * ldd + r] = src[r * lds + c];
+  }
+#endif
+}
+
+/// `trans == false`: element (p, j) at b[p * ldb + j] (B row-major), one
+/// memcpy per strip row. `trans == true`: element (p, j) at b[j * ldb + p]
+/// (B^T view), moved in kTB x kTB register blocks; a K tail short of a
+/// block and the columns of a partial strip past its last whole block go
+/// element by element.
 void pack_b(const float* __restrict__ b, Index ldb, bool trans, Index kc,
             Index nc, float* __restrict__ bp) {
+  const Index kblocks = kc - kc % kTB;
   for (Index j0 = 0; j0 < nc; j0 += kNR) {
     const Index nr = std::min<Index>(kNR, nc - j0);
     if (trans) {
+      const Index jblocks = nr - nr % kTB;
+      for (Index jj = 0; jj < jblocks; jj += kTB) {
+        for (Index p = 0; p < kblocks; p += kTB) {
+          transpose_block(b + (j0 + jj) * ldb + p, ldb, bp + p * kNR + jj,
+                          kNR);
+        }
+      }
       for (Index jj = 0; jj < nr; ++jj) {
         const float* src = b + (j0 + jj) * ldb;
-        for (Index p = 0; p < kc; ++p) bp[p * kNR + jj] = src[p];
+        for (Index p = jj < jblocks ? kblocks : 0; p < kc; ++p) {
+          bp[p * kNR + jj] = src[p];
+        }
       }
     } else {
       const auto row_bytes = sizeof(float) * static_cast<std::size_t>(nr);
@@ -194,12 +289,14 @@ void pack_b(const float* __restrict__ b, Index ldb, bool trans, Index kc,
   }
 }
 
-// ----- micro-kernels -----
+// ----- micro-kernel -----
 
-/// Full MR x NR tile: C_tile += sum_p apack[p][:] (x) bpack[p][:], one
-/// rank-1 update per p, kept entirely in vector registers.
-void micro(const float* __restrict__ ap, const float* __restrict__ bp,
-           float* __restrict__ c, Index ldc, Index kc) {
+/// Full MR x NR tile: C_tile += sum_p A[:, p] (x) bpack[p][:], one rank-1
+/// update per p, kept entirely in vector registers. A element (i, p) is
+/// a[i * rs + p * cs] (see "operand staging").
+void micro(const float* __restrict__ a, Index rs, Index cs,
+           const float* __restrict__ bp, float* __restrict__ c, Index ldc,
+           Index kc) {
   Vec acc[kMR][kNVecs];
   for (int i = 0; i < kMR; ++i) {
     for (int v = 0; v < kNVecs; ++v) {
@@ -211,33 +308,16 @@ void micro(const float* __restrict__ ap, const float* __restrict__ bp,
     for (int v = 0; v < kNVecs; ++v) {
       std::memcpy(&b[v], bp + p * kNR + v * kVecLanes, sizeof(Vec));
     }
-    const float* acol = ap + p * kMR;
+    const float* acol = a + p * cs;
     for (int i = 0; i < kMR; ++i) {
-      const float a = acol[i];
-      for (int v = 0; v < kNVecs; ++v) acc[i][v] = vmadd(acc[i][v], a, b[v]);
+      const float ai = acol[i * rs];
+      for (int v = 0; v < kNVecs; ++v) acc[i][v] = vmadd(acc[i][v], ai, b[v]);
     }
   }
   for (int i = 0; i < kMR; ++i) {
     for (int v = 0; v < kNVecs; ++v) {
       std::memcpy(c + i * ldc + v * kVecLanes, &acc[i][v], sizeof(Vec));
     }
-  }
-}
-
-/// Partial mr x nr tile at the m/n edges: the same vector micro-kernel on a
-/// zero-padded copy of the C block. The packed panels are zero-padded too,
-/// so every real element sees the same vmadd sequence as a full tile; the
-/// padded lanes are computed and discarded.
-void micro_partial(const float* __restrict__ ap,
-                   const float* __restrict__ bp, float* __restrict__ c,
-                   Index ldc, Index kc, Index mr, Index nr) {
-  alignas(64) float tile[kMR * kNR] = {};
-  for (Index i = 0; i < mr; ++i) {
-    std::memcpy(tile + i * kNR, c + i * ldc, sizeof(float) * nr);
-  }
-  micro(ap, bp, tile, kNR, kc);
-  for (Index i = 0; i < mr; ++i) {
-    std::memcpy(c + i * ldc, tile + i * kNR, sizeof(float) * nr);
   }
 }
 
@@ -274,23 +354,28 @@ bool causal_steps(Causal mode, Index lo, Index hi, Index col, Index pc,
   return *p0 < *p1;
 }
 
-/// Compute C rows [r0, r1) against one pre-packed B panel of `nc` columns
-/// (kc deep) starting at column `jc` and contraction step `pc`. `a`
-/// addresses element (i, p) per `at`, already offset by pc; `c` points at
-/// column jc. Strips and steps `mode` proves zero are skipped; every
-/// computed element still sees one ascending madd chain.
+/// Compute C rows [r0, r1) of an M-row product against one pre-packed B
+/// panel of `nc` columns (kc deep) starting at column `jc` and contraction
+/// step `pc`. `a` addresses element (i, p) per `at`, already offset by pc;
+/// `c` points at column jc. Strips and steps `mode` proves zero are
+/// skipped; every computed element still sees one ascending madd chain.
 void panel_rows(const float* a, Index lda, bool at, const float* bpack,
-                float* c, Index ldc, Index r0, Index r1, Index kc, Index nc,
-                Index mc_blk, Causal mode = Causal::kNone, Index jc = 0,
-                Index pc = 0) {
+                float* c, Index ldc, Index r0, Index r1, Index M, Index kc,
+                Index nc, Index mc_blk, Causal mode = Causal::kNone,
+                Index jc = 0, Index pc = 0) {
+  const Index rs = at ? 1 : lda, cs = at ? lda : 1;
   Index p0 = 0, p1 = 0;
   for (Index ic = r0; ic < r1; ic += mc_blk) {
     const Index mc = std::min(mc_blk, r1 - ic);
     if (!causal_steps(mode, ic, ic + mc, jc, pc, kc, &p0, &p1)) continue;
-    const Index strips = (mc + kMR - 1) / kMR;
-    float* apack = util::scratch_floats(
-        kScratchA, static_cast<std::size_t>(strips * kMR * kc));
-    pack_a(at ? a + ic : a + ic * lda, lda, at, mc, kc, apack);
+    // At most one strip of the block can run past row M: its last.
+    const Index tail_lo = ic + (mc - 1) / kMR * kMR;
+    float* tail = nullptr;
+    if (tail_lo + kMR > M) {
+      tail = util::scratch_floats(kScratchA,
+                                  static_cast<std::size_t>(kMR * kc));
+      pack_a_strip(a + tail_lo * rs, rs, cs, ic + mc - tail_lo, kc, tail);
+    }
     for (Index j0 = 0; j0 < nc; j0 += kNR) {
       const Index nr = std::min<Index>(kNR, nc - j0);
       for (Index i0 = 0; i0 < mc; i0 += kMR) {
@@ -299,13 +384,24 @@ void panel_rows(const float* a, Index lda, bool at, const float* bpack,
         if (!causal_steps(mode, lo, lo + mr, jc + j0, pc, kc, &p0, &p1)) {
           continue;
         }
-        const float* ap = apack + (i0 / kMR) * kc * kMR + p0 * kMR;
+        const bool packed = lo == tail_lo && tail != nullptr;
+        const float* ap = packed ? tail + p0 * kMR : a + lo * rs + p0 * cs;
+        const Index ars = packed ? 1 : rs, acs = packed ? kMR : cs;
         const float* bp = bpack + (j0 / kNR) * kc * kNR + p0 * kNR;
         float* cp = c + lo * ldc + j0;
         if (mr == kMR && nr == kNR) {
-          micro(ap, bp, cp, ldc, p1 - p0);
-        } else {
-          micro_partial(ap, bp, cp, ldc, p1 - p0, mr, nr);
+          micro(ap, ars, acs, bp, cp, ldc, p1 - p0);
+          continue;
+        }
+        // An edge tile runs the same kernel on a zero-padded copy of its
+        // C block; the padded rows and lanes are computed and discarded.
+        alignas(64) float tile[kMR * kNR] = {};
+        for (Index i = 0; i < mr; ++i) {
+          std::memcpy(tile + i * kNR, cp + i * ldc, sizeof(float) * nr);
+        }
+        micro(ap, ars, acs, bp, tile, kNR, p1 - p0);
+        for (Index i = 0; i < mr; ++i) {
+          std::memcpy(cp + i * ldc, tile + i * kNR, sizeof(float) * nr);
         }
       }
     }
@@ -326,9 +422,8 @@ Index strip_grain(Index k, Index n) {
 }
 
 /// One C = A * B product, parallel over MR-row strips of the output.
-/// `at`/`bt` select the
-/// transposed addressing of pack_a/pack_b; M/K/N are the logical
-/// (output rows, contraction, output cols).
+/// `at`/`bt` select the transposed addressing of A (read in place) and of
+/// pack_b; M/K/N are the logical (output rows, contraction, output cols).
 void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
           bool bt, float* c, Index M, Index K, Index N) {
   if (M <= 0 || K <= 0 || N <= 0) return;
@@ -346,7 +441,7 @@ void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
       const float* abase = at ? a + pc * lda : a + pc;
       util::parallel_for(0, strips_of(M), grain, [&](Index s0, Index s1) {
         panel_rows(abase, lda, at, bpack, c + jc, N, s0 * kMR,
-                   std::min(M, s1 * kMR), kc, nc, blk.mc);
+                   std::min(M, s1 * kMR), M, kc, nc, blk.mc);
       });
     }
   }
@@ -369,8 +464,8 @@ void gemm_causal(const float* a, Index lda, bool at, const float* b,
       pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
              bpack);
       const float* abase = at ? a + pc * lda : a + pc;
-      panel_rows(abase, lda, at, bpack, c + jc, ldc, 0, M, kc, nc, blk.mc,
-                 mode, jc, pc);
+      panel_rows(abase, lda, at, bpack, c + jc, ldc, 0, M, M, kc, nc,
+                 blk.mc, mode, jc, pc);
     }
   }
 }

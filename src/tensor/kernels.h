@@ -2,10 +2,12 @@
 // tensor::matmul and its backward, and the fused causal attention behind
 // tensor::causal_attention.
 //
-// The three products are cache-blocked packed-panel loops (GotoBLAS
-// structure): operand panels are staged into contiguous aligned scratch
-// (util/aligned.h), a register-tiled micro-kernel runs the innermost
-// flops, and the output rows are spread over util::ThreadPool.
+// The three products are cache-blocked loops (GotoBLAS structure): B
+// panels are packed into contiguous aligned scratch (util/aligned.h), a
+// transposed B through in-register block transposes; a register-tiled
+// micro-kernel reads A in place (row-major or transposed, only a partial
+// last row strip copied) and runs the innermost flops; and the output
+// rows are spread over util::ThreadPool.
 //
 // All matmul kernels ACCUMULATE into C (callers zero-fill or reuse running
 // sums).

@@ -281,6 +281,108 @@ TEST(KernelBitIdentity, CausalAttentionMatchesReferenceForAllBlocksAndWidths) {
   }
 }
 
+// ----- operand staging edges -----
+//
+// A is read in place except the matrix's last, partial MR strip, and a
+// transposed B is packed in register-transposed blocks with scalar tails.
+// These shapes put every such edge under every kernel: M with a partial
+// last strip (1, 2, 7, 128), transposed A with M % MR != 0 (mm_tn), and a
+// transposed B whose depth K leaves a tail after whole blocks (1, 15, 17,
+// 33) or spans two default KC panels (257), with N the LoRA rank (8) or a
+// partial strip past a whole one (40). C starts non-zero, so a partial
+// tile that clobbered its neighbours' rows would show.
+
+const BlockConfig kStagingConfigs[] = {
+    {},            // defaults
+    {18, 40, 20},  // KC leaves a transpose tail; NC a partial strip
+    {8, 16, 8},    // every panel smaller than one transpose block
+};
+
+TEST(KernelBitIdentity, InPlaceAAndTransposedBEdgesMatchReference) {
+  KernelGuard guard;
+  namespace k = tensor::kernels;
+  for (Index m : {1, 2, 7, 128}) {
+    for (Index depth : {1, 15, 17, 33, 257}) {
+      for (Index n : {8, 40}) {
+        const Shape3 s{m, depth, n};
+        const auto mk = static_cast<std::size_t>(m * depth);
+        const auto kn = static_cast<std::size_t>(depth * n);
+        const auto a = random_vec(mk, 101);   // [m, k], or [k, m] for mm_tn
+        const auto b = random_vec(kn, 103);   // [k, n], or [n, k] for mm_nt
+        const auto c0 = random_vec(static_cast<std::size_t>(m * n), 107);
+        std::vector<float> ref_mm = c0, ref_nt = c0, ref_tn = c0;
+        k::mm_ref(a.data(), b.data(), ref_mm.data(), m, depth, n);
+        k::mm_nt_ref(a.data(), b.data(), ref_nt.data(), m, depth, n);
+        k::mm_tn_ref(a.data(), b.data(), ref_tn.data(), depth, m, n);
+        for (const BlockConfig& cfg : kStagingConfigs) {
+          k::set_block_config(cfg);
+          for (int width : {1, 2, 4, 8}) {
+            ThreadPool::instance().set_num_threads(width);
+            std::vector<float> c = c0;
+            k::mm(a.data(), b.data(), c.data(), m, depth, n);
+            expect_same(c, ref_mm, "mm", s);
+            c = c0;
+            k::mm_nt(a.data(), b.data(), c.data(), m, depth, n);
+            expect_same(c, ref_nt, "mm_nt", s);
+            c = c0;
+            k::mm_tn(a.data(), b.data(), c.data(), depth, m, n);
+            expect_same(c, ref_tn, "mm_tn", s);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Attention reads each head's Q (and dctx) in place as a column slice of
+/// the [B, T, H*D] projection (lda = H*D > K = D), P as a transposed A in
+/// the dK/dV products, and K and V through the transposed B pack. (B, T, H,
+/// Hkv, D): T with a partial last strip (7, 2, 1, 128), head depths that
+/// leave a transpose tail (17, 33, 15) or exceed KC (257), and N = D of 8
+/// and 40.
+const AttentionShape kStagingAttentionShapes[] = {
+    {2, 7, 3, 3, 17}, {1, 2, 2, 1, 33},  {1, 1, 2, 2, 15},
+    {1, 128, 2, 2, 8}, {2, 40, 2, 1, 40}, {1, 20, 2, 2, 257},
+};
+
+TEST(KernelBitIdentity, AttentionOperandSlicesMatchReference) {
+  KernelGuard guard;
+  namespace k = tensor::kernels;
+  for (const AttentionShape& s : kStagingAttentionShapes) {
+    const auto q_elems = static_cast<std::size_t>(s.batch * s.seq * s.heads *
+                                                  s.head_dim);
+    const auto kv_elems = static_cast<std::size_t>(s.batch * s.seq *
+                                                   s.kv_heads * s.head_dim);
+    const auto q = random_vec(q_elems, 109);
+    const auto kk = random_vec(kv_elems, 113);
+    const auto v = random_vec(kv_elems, 127);
+    const auto dctx = random_vec(q_elems, 131);
+    AttentionBuffers ref = nan_buffers(s);
+    k::causal_attention_ref(q.data(), kk.data(), v.data(), ref.ctx.data(),
+                            ref.p.data(), s);
+    k::causal_attention_backward_ref(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), ref.dq.data(),
+                                     ref.dk.data(), ref.dv.data(), s);
+    for (const BlockConfig& cfg : kStagingConfigs) {
+      k::set_block_config(cfg);
+      for (int width : {1, 2, 4, 8}) {
+        ThreadPool::instance().set_num_threads(width);
+        AttentionBuffers got = nan_buffers(s);
+        k::causal_attention(q.data(), kk.data(), v.data(), got.ctx.data(),
+                            got.p.data(), s);
+        expect_bytes(got.ctx, ref.ctx, "ctx", s, width);
+        expect_bytes(got.p, ref.p, "P", s, width);
+        k::causal_attention_backward(q.data(), kk.data(), v.data(),
+                                     ref.p.data(), dctx.data(), got.dq.data(),
+                                     got.dk.data(), got.dv.data(), s);
+        expect_bytes(got.dq, ref.dq, "dq", s, width);
+        expect_bytes(got.dk, ref.dk, "dk", s, width);
+        expect_bytes(got.dv, ref.dv, "dv", s, width);
+      }
+    }
+  }
+}
+
 TEST(KernelConfig, RejectsNegativeBlockSizes) {
   KernelGuard guard;
   EXPECT_THROW(tensor::kernels::set_block_config({-1, 0, 0}), Error);
