@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/executor.h"
 #include "sim/split_sim.h"
@@ -44,13 +47,66 @@ inline sim::SimConfig make_config(const sim::ModelSpec& spec,
   return c;
 }
 
+/// Threads of the host-contention probe.
+inline constexpr int kProbeThreads = 4;
+
+/// One host-contention probe reading.
+struct ProbeReading {
+  double ratio = 0.0;     ///< `threads`-thread spin time / 1-thread time
+  double alone_ms = 0.0;  ///< the 1-thread spin time
+};
+
+/// Host-contention probe: the wall time of `threads` threads each running
+/// the same fixed integer spin, over the time one thread takes for it
+/// alone (median of three of each). The ratio reads ~1.0 when the host has
+/// `threads` idle cores; other tenants, or fewer cores, push it up (4.0 on
+/// one core). A host slow on every core alike keeps the ratio near 1.0 but
+/// raises `alone_ms` (~11 ms on an idle 2 GHz AVX-512 VM). Timings from one
+/// host can move several-fold with its load, so benches take it before and
+/// after measuring and record both.
+inline ProbeReading contention_probe(int threads = kProbeThreads) {
+  const auto spin = [](volatile std::uint64_t* sink) {
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < (1 << 23); ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+    }
+    *sink = x;
+  };
+  const auto median_seconds = [&](int n) {
+    std::vector<std::uint64_t> sinks(static_cast<std::size_t>(n));
+    double times[3];
+    for (double& t : times) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::thread> others;
+      for (int i = 1; i < n; ++i) {
+        others.emplace_back(spin, &sinks[static_cast<std::size_t>(i)]);
+      }
+      spin(&sinks[0]);
+      for (std::thread& th : others) th.join();
+      t = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+    }
+    std::sort(times, times + 3);
+    return times[1];
+  };
+  const double alone = median_seconds(1);
+  return {median_seconds(threads) / alone, 1e3 * alone};
+}
+
+/// Probe readings taken around a bench's measurements.
+struct HostProbe {
+  ProbeReading before, after;
+};
+
 /// Write the `"environment": {...},` member every BENCH_*.json opens with:
 /// the host and build a result came from, and the widths of the process's
 /// two pools. `executor_threads` is the serving executor width the bench
 /// configured (0 = resolved from MENOS_EXECUTOR_THREADS / hardware, as a
 /// default ServerConfig does); the compute pool width is the one
-/// MENOS_THREADS configures, before any bench-driven resize.
-inline void write_environment(std::FILE* f, int executor_threads = 0) {
+/// MENOS_THREADS configures, before any bench-driven resize. A bench that
+/// took contention_probe() readings passes them as `probe`.
+inline void write_environment(std::FILE* f, int executor_threads = 0,
+                              const HostProbe* probe = nullptr) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::fprintf(f, "  \"environment\": {\n");
   std::fprintf(f, "    \"hardware_concurrency\": %d,\n", hw);
@@ -64,6 +120,14 @@ inline void write_environment(std::FILE* f, int executor_threads = 0) {
                tensor::kernels::vector_arch());
   std::fprintf(f, "    \"executor_threads\": %d,\n",
                core::Executor::resolve_width(executor_threads));
+  if (probe != nullptr) {
+    std::fprintf(f,
+                 "    \"contention_probe\": {\"threads\": %d,\n"
+                 "      \"before\": {\"ratio\": %.3f, \"alone_ms\": %.2f},\n"
+                 "      \"after\": {\"ratio\": %.3f, \"alone_ms\": %.2f}},\n",
+                 kProbeThreads, probe->before.ratio, probe->before.alone_ms,
+                 probe->after.ratio, probe->after.alone_ms);
+  }
   std::fprintf(f, "    \"pool_threads\": %d\n",
                util::env_width("MENOS_THREADS", std::max(1, hw)));
   std::fprintf(f, "  },\n");

@@ -10,11 +10,15 @@
 // trunk-shape fused attention forward+backward at least R times as fast as
 // its serial reference, and mm_nt and mm_tn at the trunk's FFN shapes at
 // least kTransposedFloor times as fast as mm at the same shape, timed
-// interleaved (the perf_smoke ctest). A malformed R or an unknown flag
-// exits 2.
+// interleaved, and mm and mm_nt from a sealed weight's panels (packed once)
+// at least kPrepackedFloor times as fast as the same products packing B on
+// every call, also interleaved (the perf_smoke ctest). A malformed R or an
+// unknown flag exits 2. The environment block records the host-contention
+// probe (bench_common.h) taken before and after the measurements.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,6 +228,68 @@ std::vector<TransposedRatio> transposed_vs_mm(Index m, Index k, Index n,
           {kMmTn.op, m, k, n, best[0] / best[2]}};
 }
 
+/// A product from a sealed weight's panels against the same product
+/// packing B on every call, at one shape, width 1.
+struct PrepackedRatio {
+  std::string op;
+  Index m = 0, k = 0, n = 0;
+  double ratio = 0.0;  // per-call-packed best time / prepacked best time
+};
+
+/// Gated minimum of every PrepackedRatio under --check-floor. Over 20 runs
+/// on a 4-vCPU AVX-512 VM (GCC 12.2, Release) mm read 1.15-1.19 and mm_nt
+/// 1.07-1.14 at both shapes; a build whose sealed weights never return
+/// panels (so both sides pack per call) read 0.98-1.02, which this floor
+/// fails.
+constexpr double kPrepackedFloor = 1.04;
+
+/// mm and mm_nt at (m, k, n), width 1, with B a sealed host tensor
+/// dispatched as tensor::matmul and its backward do (its panels when
+/// Tensor::packed_panels has them, else the per-call-packing kernel),
+/// against the kernels that pack B per call. The four take turns for
+/// `rounds` rounds, as in transposed_vs_mm.
+std::vector<PrepackedRatio> prepacked_vs_packed(menos::gpusim::Device& host,
+                                                Index m, Index k, Index n,
+                                                int rounds) {
+  namespace kn = menos::tensor::kernels;
+  Operands ops(m, k, n);
+  // The same values as mm's B [k, n] and as mm_nt's stored B [n, k].
+  Tensor w = Tensor::from_vector(ops.b, {k, n}, host);
+  Tensor wt = Tensor::from_vector(ops.b, {n, k}, host);
+  w.seal();
+  wt.seal();
+  const float* a = ops.a.data();
+  const float* b = ops.b.data();
+  float* c = ops.c.data();
+  const auto from_weight = [&](const Tensor& weight, bool transposed,
+                               RawKernel per_call) {
+    if (const float* panels = weight.packed_panels(transposed)) {
+      kn::mm_packed(a, panels, c, m, k, n);
+    } else {
+      per_call(a, b, c, m, k, n);
+    }
+  };
+  const std::function<void()> runs[4] = {
+      [&] { kMm.tuned(a, b, c, m, k, n); },
+      [&] { from_weight(w, false, kMm.tuned); },
+      [&] { kMmNt.tuned(a, b, c, m, k, n); },
+      [&] { from_weight(wt, true, kMmNt.tuned); },
+  };
+  double best[4] = {1e30, 1e30, 1e30, 1e30};
+  ThreadPool::instance().set_num_threads(1);
+  for (const auto& run : runs) run();  // panels packed before any timing
+  for (int r = 0; r < rounds; ++r) {
+    for (int i = 0; i < 4; ++i) {
+      std::fill(ops.c.begin(), ops.c.end(), 0.0f);
+      const double t0 = now_seconds();
+      runs[i]();
+      best[i] = std::min(best[i], now_seconds() - t0);
+    }
+  }
+  return {{kMm.op, m, k, n, best[0] / best[1]},
+          {kMmNt.op, m, k, n, best[2] / best[3]}};
+}
+
 struct AttentionResult {
   std::string use;   // which workload this shape stands for
   std::string pass;  // "fwd" or "fwd+bwd"
@@ -342,6 +408,8 @@ int main(int argc, char** argv) {
   if (!menos::bench::parse_gate_args(argc, argv, &out_path, &check_floor)) {
     return 2;
   }
+  menos::bench::HostProbe probe;
+  probe.before = menos::bench::contention_probe();
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("micro_tensor_ops: hardware_concurrency=%u arch=%s tile=%lldx%lld (%s)\n",
               hw, menos::tensor::kernels::vector_arch(),
@@ -359,6 +427,8 @@ int main(int argc, char** argv) {
   }
   matmuls.push_back(bench_matmul(kMm, 256, 64, 256, 20));
   std::vector<TransposedRatio> transposed;
+  std::vector<PrepackedRatio> prepacked;
+  auto device = menos::gpusim::make_host_device("bench-host");
   const Index kTrunkFfn[][2] = {{128, 512}, {512, 128}};  // (k, n)
   for (const auto& kn : kTrunkFfn) {
     for (const MatmulKernel* kernel : {&kMm, &kMmNt, &kMmTn}) {
@@ -367,6 +437,10 @@ int main(int argc, char** argv) {
     for (const TransposedRatio& r :
          transposed_vs_mm(128, kn[0], kn[1], 2000)) {
       transposed.push_back(r);
+    }
+    for (const PrepackedRatio& r :
+         prepacked_vs_packed(*device, 128, kn[0], kn[1], 2000)) {
+      prepacked.push_back(r);
     }
   }
 
@@ -384,6 +458,13 @@ int main(int argc, char** argv) {
   for (const TransposedRatio& r : transposed) {
     std::printf("%-6s %4lldx%4lldx%4lld  t=1 %.2fx the speed of mm, timed "
                 "interleaved\n",
+                r.op.c_str(), static_cast<long long>(r.m),
+                static_cast<long long>(r.k), static_cast<long long>(r.n),
+                r.ratio);
+  }
+  for (const PrepackedRatio& r : prepacked) {
+    std::printf("%-6s %4lldx%4lldx%4lld  t=1 prepacked B %.2fx the speed of "
+                "packing per call, timed interleaved\n",
                 r.op.c_str(), static_cast<long long>(r.m),
                 static_cast<long long>(r.k), static_cast<long long>(r.n),
                 r.ratio);
@@ -412,7 +493,6 @@ int main(int argc, char** argv) {
   }
 
   // Op-level elementwise / normalization paths (speedup vs 1 thread).
-  auto device = menos::gpusim::make_host_device("bench-host");
   menos::util::Rng rng(7);
   menos::tensor::NoGradGuard no_grad;
   Tensor act = Tensor::empty({1 << 21}, *device);
@@ -438,6 +518,12 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  probe.after = menos::bench::contention_probe();
+  std::printf("contention probe (%d threads): %.2f (%.1f ms alone) before, "
+              "%.2f (%.1f ms alone) after\n",
+              menos::bench::kProbeThreads, probe.before.ratio,
+              probe.before.alone_ms, probe.after.ratio, probe.after.alone_ms);
+
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -445,7 +531,7 @@ int main(int argc, char** argv) {
   }
   const auto blocks = menos::tensor::kernels::block_config();
   std::fprintf(f, "{\n  \"bench\": \"micro_tensor_ops\",\n");
-  menos::bench::write_environment(f);
+  menos::bench::write_environment(f, 0, &probe);
   std::fprintf(f, "  \"kernel_config\": {\n");
   std::fprintf(f, "    \"thread_widths\": [");
   {
@@ -485,6 +571,16 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "%s    {\"op\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": "
                  "%lld, \"threads\": 1, \"speed_vs_mm\": %.3f}",
+                 i == 0 ? "" : ",\n", r.op.c_str(),
+                 static_cast<long long>(r.m), static_cast<long long>(r.k),
+                 static_cast<long long>(r.n), r.ratio);
+  }
+  std::fprintf(f, "\n  ],\n  \"prepacked_vs_packed\": [\n");
+  for (std::size_t i = 0; i < prepacked.size(); ++i) {
+    const PrepackedRatio& r = prepacked[i];
+    std::fprintf(f,
+                 "%s    {\"op\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": "
+                 "%lld, \"threads\": 1, \"speed_vs_packed\": %.3f}",
                  i == 0 ? "" : ",\n", r.op.c_str(),
                  static_cast<long long>(r.m), static_cast<long long>(r.k),
                  static_cast<long long>(r.n), r.ratio);
@@ -548,6 +644,14 @@ int main(int argc, char** argv) {
                     static_cast<long long>(r.n));
       gates.push_back({what, r.ratio, "speed of mm at that shape",
                        kTransposedFloor, "transposed floor"});
+    }
+    for (const PrepackedRatio& r : prepacked) {
+      char what[64];
+      std::snprintf(what, sizeof(what), "prepacked %s %lldx%lldx%lld",
+                    r.op.c_str(), static_cast<long long>(r.m),
+                    static_cast<long long>(r.k), static_cast<long long>(r.n));
+      gates.push_back({what, r.ratio, "per-call-packed kernel",
+                       kPrepackedFloor, "prepacked floor"});
     }
     bool ok = true;
     for (const Gate& g : gates) {

@@ -153,6 +153,9 @@ void save_base_checkpoint(const std::string& path,
 std::size_t load_base_checkpoint(const std::string& path,
                                  ParameterStore& store) {
   const std::vector<std::uint8_t> blob = read_blob(path);
+  // Each write goes through the sealed weight's mutable Storage::data(),
+  // which drops the GEMM panels packed from the old values; the next use
+  // packs the new ones.
   return deserialize_adapter(blob.data(), blob.size(), store.parameters());
 }
 

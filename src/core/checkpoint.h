@@ -50,7 +50,9 @@ void save_base_checkpoint(const std::string& path, const ParameterStore& store);
 
 /// Overwrite the store's tensors in place from a checkpoint written by
 /// save_base_checkpoint. Every live structure sharing the store sees the
-/// new values. Returns the number of tensors loaded.
+/// new values, and the GEMM panels packed from the old ones are dropped.
+/// Must not run while a kernel reads the store. Returns the number of
+/// tensors loaded.
 std::size_t load_base_checkpoint(const std::string& path,
                                  ParameterStore& store);
 

@@ -71,6 +71,9 @@ ParameterStore::ParameterStore(const nn::TransformerConfig& config,
       bytes_ += p.value.bytes();
     }
   }
+  // Fixed from here on (a checkpoint load drops what they cached): every
+  // client's GEMMs read the same weights, packed once.
+  for (auto& [name, value] : table_) value.seal();
 }
 
 std::vector<nn::Parameter> ParameterStore::parameters() const {

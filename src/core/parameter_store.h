@@ -4,7 +4,9 @@
 // the GPU up front. Per-client serving sessions build their own
 // ServerSection *structures* over a SharedSource view of this table, so N
 // clients share a single M instead of N copies — the base-model sharing
-// mechanism that turns Eq. (2) into Eq. (3).
+// mechanism that turns Eq. (2) into Eq. (3). The store seals its tensors
+// (tensor::Storage::seal), so each weight's GEMM panels are packed once and
+// shared by every client's kernels too.
 //
 // The store deliberately loads ALL blocks (0..n_layers-1) even though the
 // paper's default split leaves block 0 on the client: clients choose their

@@ -7,6 +7,8 @@
 //   for jc : NC-wide column panels of C
 //     for pc : KC-deep contraction panels
 //       pack B[pc:pc+KC, jc:jc+NC] into contiguous NR-wide strips
+//         (or, for a B packed once by pack_b_panels, address the KC-deep
+//         slice of its whole-K strips in place)
 //       parallel_for over MR-row strips of C        <- the ONLY fork point
 //         for ic : MC-tall row blocks of this thread's range
 //           copy the matrix's last strip if it is partial (thread scratch)
@@ -28,7 +30,9 @@
 //
 // Scratch never touches the gpusim Device layer: staging buffers are
 // per-thread aligned pools from util/aligned.h (the `kernel-scratch` lint
-// rule enforces this).
+// rule enforces this). Panels packed once are the caller's memory: the
+// kernels only fill and read them (tensor/tensor.cc keeps a frozen
+// weight's in a util::PageBuffer).
 #include "tensor/kernels.h"
 
 #include <algorithm>
@@ -354,15 +358,17 @@ bool causal_steps(Causal mode, Index lo, Index hi, Index col, Index pc,
   return *p0 < *p1;
 }
 
-/// Compute C rows [r0, r1) of an M-row product against one pre-packed B
-/// panel of `nc` columns (kc deep) starting at column `jc` and contraction
-/// step `pc`. `a` addresses element (i, p) per `at`, already offset by pc;
-/// `c` points at column jc. Strips and steps `mode` proves zero are
-/// skipped; every computed element still sees one ascending madd chain.
+/// Compute C rows [r0, r1) of an M-row product against one packed B panel
+/// of `nc` columns (kc deep) starting at column `jc` and contraction step
+/// `pc`: its NR-wide strips start `strip_stride` floats apart (kc * NR when
+/// packed for this panel, K * NR in whole-K panels). `a` addresses element
+/// (i, p) per `at`, already offset by pc; `c` points at column jc. Strips
+/// and steps `mode` proves zero are skipped; every computed element still
+/// sees one ascending madd chain.
 void panel_rows(const float* a, Index lda, bool at, const float* bpack,
-                float* c, Index ldc, Index r0, Index r1, Index M, Index kc,
-                Index nc, Index mc_blk, Causal mode = Causal::kNone,
-                Index jc = 0, Index pc = 0) {
+                Index strip_stride, float* c, Index ldc, Index r0, Index r1,
+                Index M, Index kc, Index nc, Index mc_blk,
+                Causal mode = Causal::kNone, Index jc = 0, Index pc = 0) {
   const Index rs = at ? 1 : lda, cs = at ? lda : 1;
   Index p0 = 0, p1 = 0;
   for (Index ic = r0; ic < r1; ic += mc_blk) {
@@ -387,7 +393,7 @@ void panel_rows(const float* a, Index lda, bool at, const float* bpack,
         const bool packed = lo == tail_lo && tail != nullptr;
         const float* ap = packed ? tail + p0 * kMR : a + lo * rs + p0 * cs;
         const Index ars = packed ? 1 : rs, acs = packed ? kMR : cs;
-        const float* bp = bpack + (j0 / kNR) * kc * kNR + p0 * kNR;
+        const float* bp = bpack + (j0 / kNR) * strip_stride + p0 * kNR;
         float* cp = c + lo * ldc + j0;
         if (mr == kMR && nr == kNR) {
           micro(ap, ars, acs, bp, cp, ldc, p1 - p0);
@@ -421,26 +427,42 @@ Index strip_grain(Index k, Index n) {
   return std::max<Index>(1, (Index{1} << 18) / flops_per_strip);
 }
 
+/// Number of NR-wide strips covering `cols` columns.
+Index bstrips_of(Index cols) { return (cols + kNR - 1) / kNR; }
+
 /// One C = A * B product, parallel over MR-row strips of the output.
 /// `at`/`bt` select the transposed addressing of A (read in place) and of
 /// pack_b; M/K/N are the logical (output rows, contraction, output cols).
+/// A non-null `prepacked` is B already packed by pack_b_panels, read in
+/// place (`b`, `ldb` and `bt` unused): NC is rounded up to a multiple of NR
+/// so that every panel starts on a strip boundary.
 void gemm(const float* a, Index lda, bool at, const float* b, Index ldb,
-          bool bt, float* c, Index M, Index K, Index N) {
+          bool bt, const float* prepacked, float* c, Index M, Index K,
+          Index N) {
   if (M <= 0 || K <= 0 || N <= 0) return;
   const BlockConfig blk = block_config();
   const Index grain = strip_grain(K, N);
-  for (Index jc = 0; jc < N; jc += blk.nc) {
-    const Index nc = std::min(blk.nc, N - jc);
-    const Index bstrips = (nc + kNR - 1) / kNR;
+  const Index nc_blk =
+      prepacked != nullptr ? bstrips_of(blk.nc) * kNR : blk.nc;
+  for (Index jc = 0; jc < N; jc += nc_blk) {
+    const Index nc = std::min(nc_blk, N - jc);
     for (Index pc = 0; pc < K; pc += blk.kc) {
       const Index kc = std::min(blk.kc, K - pc);
-      float* bpack = util::scratch_floats(
-          kScratchB, static_cast<std::size_t>(bstrips * kNR * kc));
-      pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
-             bpack);
+      const float* bpack = nullptr;
+      Index strip_stride = K * kNR;
+      if (prepacked != nullptr) {
+        bpack = prepacked + jc * K + pc * kNR;  // strip jc / NR, step pc
+      } else {
+        float* scratch = util::scratch_floats(
+            kScratchB, static_cast<std::size_t>(bstrips_of(nc) * kNR * kc));
+        pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
+               scratch);
+        bpack = scratch;
+        strip_stride = kc * kNR;
+      }
       const float* abase = at ? a + pc * lda : a + pc;
       util::parallel_for(0, strips_of(M), grain, [&](Index s0, Index s1) {
-        panel_rows(abase, lda, at, bpack, c + jc, N, s0 * kMR,
+        panel_rows(abase, lda, at, bpack, strip_stride, c + jc, N, s0 * kMR,
                    std::min(M, s1 * kMR), M, kc, nc, blk.mc);
       });
     }
@@ -456,16 +478,15 @@ void gemm_causal(const float* a, Index lda, bool at, const float* b,
   const BlockConfig blk = block_config();
   for (Index jc = 0; jc < N; jc += blk.nc) {
     const Index nc = std::min(blk.nc, N - jc);
-    const Index bstrips = (nc + kNR - 1) / kNR;
     for (Index pc = 0; pc < K; pc += blk.kc) {
       const Index kc = std::min(blk.kc, K - pc);
       float* bpack = util::scratch_floats(
-          kScratchB, static_cast<std::size_t>(bstrips * kNR * kc));
+          kScratchB, static_cast<std::size_t>(bstrips_of(nc) * kNR * kc));
       pack_b(bt ? b + jc * ldb + pc : b + pc * ldb + jc, ldb, bt, kc, nc,
              bpack);
       const float* abase = at ? a + pc * lda : a + pc;
-      panel_rows(abase, lda, at, bpack, c + jc, ldc, 0, M, M, kc, nc,
-                 blk.mc, mode, jc, pc);
+      panel_rows(abase, lda, at, bpack, kc * kNR, c + jc, ldc, 0, M, M, kc,
+                 nc, blk.mc, mode, jc, pc);
     }
   }
 }
@@ -476,19 +497,32 @@ void gemm_causal(const float* a, Index lda, bool at, const float* b,
 
 void mm(const float* a, const float* b, float* c, Index m, Index k,
         Index n) {
-  gemm(a, k, false, b, n, false, c, m, k, n);
+  gemm(a, k, false, b, n, false, nullptr, c, m, k, n);
 }
 
 void mm_nt(const float* a, const float* b, float* c, Index m, Index n,
            Index k) {
   // C[m,k] = A[m,n] * B[k,n]^T: contraction over n, B addressed transposed.
-  gemm(a, n, false, b, n, true, c, m, n, k);
+  gemm(a, n, false, b, n, true, nullptr, c, m, n, k);
 }
 
 void mm_tn(const float* a, const float* b, float* c, Index m, Index k,
            Index n) {
   // C[k,n] = A[m,k]^T * B[m,n]: contraction over m, A addressed transposed.
-  gemm(a, k, true, b, n, false, c, k, m, n);
+  gemm(a, k, true, b, n, false, nullptr, c, k, m, n);
+}
+
+std::size_t packed_b_floats(Index k, Index n) noexcept {
+  return static_cast<std::size_t>(bstrips_of(n) * kNR * k);
+}
+
+void pack_b_panels(const float* b, bool trans, Index k, Index n, float* bp) {
+  if (k > 0 && n > 0) pack_b(b, trans ? k : n, trans, k, n, bp);
+}
+
+void mm_packed(const float* a, const float* bp, float* c, Index m, Index k,
+               Index n) {
+  gemm(a, k, false, nullptr, 0, false, bp, c, m, k, n);
 }
 
 // ----- fused causal attention -----

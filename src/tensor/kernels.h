@@ -7,7 +7,9 @@
 // transposed B through in-register block transposes; a register-tiled
 // micro-kernel reads A in place (row-major or transposed, only a partial
 // last row strip copied) and runs the innermost flops; and the output
-// rows are spread over util::ThreadPool.
+// rows are spread over util::ThreadPool. A B operand that never changes (a
+// frozen shared weight) can instead be packed once with pack_b_panels and
+// multiplied with mm_packed, which reads those panels in place.
 //
 // All matmul kernels ACCUMULATE into C (callers zero-fill or reuse running
 // sums).
@@ -39,6 +41,27 @@ void mm_nt(const float* a, const float* b, float* c, Index m, Index n,
 /// C[k,n] += A[m,k]^T * B[m,n]   (i.e. C[p,j] += sum_i A[i,p] * B[i,j])
 void mm_tn(const float* a, const float* b, float* c, Index m, Index k,
            Index n);
+
+// ----- B packed once -----
+//
+// The panels pack_b stages on every call, built for the whole contraction
+// at once: ceil(n / NR) strips, strip s holding columns [s*NR, s*NR + NR)
+// of all k rows, contraction-major (bp[s*k*NR + p*NR + j]) and zero-padded
+// past column n. The GEMM reads each KC-deep slice of a strip where it
+// lies, so one layout serves every block configuration, and the output is
+// byte-identical to mm / mm_nt on the same operands.
+
+/// Floats in the panels of a B operand of depth k and width n.
+std::size_t packed_b_floats(Index k, Index n) noexcept;
+
+/// Pack a B operand of depth k and width n into `bp` (packed_b_floats(k, n)
+/// floats). `trans == false`: b is [k, n] row-major, mm's B. `trans ==
+/// true`: b is [n, k] row-major and B = b^T, mm_nt's B.
+void pack_b_panels(const float* b, bool trans, Index k, Index n, float* bp);
+
+/// C[m,n] += A[m,k] * B, B given as pack_b_panels(_, _, k, n, bp).
+void mm_packed(const float* a, const float* bp, float* c, Index m, Index k,
+               Index n);
 
 // ----- fused causal attention -----
 //

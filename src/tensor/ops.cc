@@ -502,7 +502,13 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   Shape out_shape(sa.begin(), sa.end() - 1);
   out_shape.push_back(n);
   Tensor out = Tensor::zeros(out_shape, a.device());
-  kernels::mm(a.data(), b.data(), out.data(), rows, k, n);
+  // A sealed weight (the shared base model) brings its B panels, packed
+  // once; any other B is packed by the kernel on every call.
+  if (const float* panels = b.packed_panels(false)) {
+    kernels::mm_packed(a.data(), panels, out.data(), rows, k, n);
+  } else {
+    kernels::mm(a.data(), b.data(), out.data(), rows, k, n);
+  }
 
   if (should_record({a, b})) {
     Tensor saved_a = a.detach();
@@ -517,7 +523,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                   if (need_a) {
                     // dA = dC * B^T.
                     da = Tensor::zeros(saved_a.shape(), g.device());
-                    kernels::mm_nt(pg, saved_b.data(), da.data(), rows, n, k);
+                    if (const float* panels = saved_b.packed_panels(true)) {
+                      kernels::mm_packed(pg, panels, da.data(), rows, n, k);
+                    } else {
+                      kernels::mm_nt(pg, saved_b.data(), da.data(), rows, n,
+                                     k);
+                    }
                   }
                   if (need_b) {
                     // dB = A^T * dC, summed over the leading axes: one

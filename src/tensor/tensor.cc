@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
+#include "util/aligned.h"
 
 namespace menos::tensor {
 
@@ -35,7 +37,52 @@ Storage::Storage(gpusim::Device& device, Index numel)
 }
 
 Storage::~Storage() {
+  drop_panels();
   device_->deallocate(data_, static_cast<std::size_t>(numel_) * sizeof(float));
+}
+
+/// One orientation's panels and the weight shape they were packed from.
+struct PackedPanels {
+  PackedPanels(Index rows_in, Index cols_in, std::size_t floats)
+      : rows(rows_in), cols(cols_in), mem(floats) {}
+  Index rows, cols;
+  util::PageBuffer mem;
+};
+
+namespace {
+std::atomic<std::size_t> g_panel_builds{0};
+}  // namespace
+
+std::size_t panel_builds() noexcept {
+  return g_panel_builds.load(std::memory_order_relaxed);
+}
+
+const float* Storage::panels(bool transposed, Index rows, Index cols) const {
+  if (!sealed_) return nullptr;
+  std::atomic<PackedPanels*>& slot = panels_[transposed ? 1 : 0];
+  PackedPanels* p = slot.load(std::memory_order_acquire);
+  if (p == nullptr) {
+    // W as mm's B is [k = rows, n = cols]; W^T as mm_nt's is [cols, rows].
+    const Index k = transposed ? cols : rows;
+    const Index n = transposed ? rows : cols;
+    auto fresh = std::make_unique<PackedPanels>(
+        rows, cols, kernels::packed_b_floats(k, n));
+    kernels::pack_b_panels(data_, transposed, k, n, fresh->mem.data());
+    if (slot.compare_exchange_strong(p, fresh.get(), std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      g_panel_builds.fetch_add(1, std::memory_order_relaxed);
+      p = fresh.release();
+    }
+  }
+  return p->rows == rows && p->cols == cols ? p->mem.data() : nullptr;
+}
+
+void Storage::drop_panels() noexcept {
+  for (std::atomic<PackedPanels*>& slot : panels_) {
+    if (slot.load(std::memory_order_relaxed) != nullptr) {
+      delete slot.exchange(nullptr, std::memory_order_acq_rel);
+    }
+  }
 }
 
 TensorImpl::TensorImpl(std::shared_ptr<Storage> storage_in, Shape shape_in,
@@ -115,7 +162,9 @@ float* Tensor::data() {
 
 const float* Tensor::data() const {
   MENOS_CHECK_MSG(defined(), "data() on undefined tensor");
-  return impl_->storage->data();
+  // The const Storage::data(): a read must not drop a sealed weight's panels.
+  const Storage& storage = *impl_->storage;
+  return storage.data();
 }
 
 gpusim::Device& Tensor::device() const {
@@ -181,8 +230,9 @@ void Tensor::migrate(gpusim::Device& target) {
   MENOS_CHECK_MSG(impl_->grad_fn == nullptr,
                   "migrate() on a tensor attached to the autograd tape");
   if (&device() == &target) return;
-  auto moved = std::make_shared<Storage>(target, impl_->storage->numel());
-  std::memcpy(moved->data(), impl_->storage->data(), bytes());
+  const Storage& source = *impl_->storage;
+  auto moved = std::make_shared<Storage>(target, source.numel());
+  std::memcpy(moved->data(), source.data(), bytes());
   impl_->storage = std::move(moved);
 }
 
@@ -192,6 +242,17 @@ void Tensor::copy_from(const Tensor& src) {
                   "copy_from numel mismatch: " << numel() << " vs "
                                                << src.numel());
   std::memcpy(data(), src.data(), bytes());
+}
+
+void Tensor::seal() {
+  MENOS_CHECK_MSG(defined(), "seal() on undefined tensor");
+  impl_->storage->seal();
+}
+
+const float* Tensor::packed_panels(bool transposed) const {
+  MENOS_CHECK_MSG(ndim() == 2, "packed_panels() needs a 2-D tensor, got "
+                                   << shape_to_string(shape()));
+  return impl_->storage->panels(transposed, dim(0), dim(1));
 }
 
 namespace {

@@ -13,6 +13,7 @@
 // "first forward in a non-gradient environment" of Fig 3(d).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,8 +34,15 @@ Index numel_of(const Shape& shape);
 /// "[2, 3, 4]" — for error messages.
 std::string shape_to_string(const Shape& shape);
 
+struct PackedPanels;  // tensor.cc
+
 /// RAII float buffer on a Device. Shared between tensor views (reshape) and
 /// between per-client model instances (the base-model sharing of §3.1).
+///
+/// A sealed storage (a frozen shared weight) also caches its GEMM B
+/// panels, packed once per orientation (kernels::pack_b_panels). They are
+/// host kernel state, like kernel scratch: page-mapped, never metered, so
+/// every Device byte stays what it was without them.
 class Storage {
  public:
   Storage(gpusim::Device& device, Index numel);
@@ -42,7 +50,13 @@ class Storage {
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  float* data() noexcept { return data_; }
+  /// Mutable access. On a sealed storage this first drops the packed
+  /// panels, since the caller may change the contents; reads belong on the
+  /// const overload.
+  float* data() noexcept {
+    if (sealed_) drop_panels();
+    return data_;
+  }
   const float* data() const noexcept { return data_; }
   Index numel() const noexcept { return numel_; }
   std::size_t bytes() const noexcept {
@@ -50,11 +64,34 @@ class Storage {
   }
   gpusim::Device& device() const noexcept { return *device_; }
 
+  /// Mark the contents fixed, so packed panels may be cached. Call before
+  /// the storage is shared between threads.
+  void seal() noexcept { sealed_ = true; }
+
+  /// The GEMM B panels of this sealed storage read as a [rows, cols]
+  /// row-major weight W: of W itself for the forward's mm (`transposed`
+  /// false), of W^T for the backward's mm_nt. Null when unsealed or when
+  /// the panels were built for another shape. Built on first use and
+  /// published without a lock (threads racing on the first use each build,
+  /// one publishes, the rest discard theirs); kept until a write drops them
+  /// or the storage dies.
+  const float* panels(bool transposed, Index rows, Index cols) const;
+
  private:
+  /// Free the cached panels. Like a write to the contents, this must not
+  /// race a kernel that reads this storage.
+  void drop_panels() noexcept;
+
   gpusim::Device* device_;
   float* data_;
   Index numel_;
+  bool sealed_ = false;
+  mutable std::atomic<PackedPanels*> panels_[2] = {};
 };
+
+/// Panels published process-wide so far (Storage::panels): steady-state
+/// serving adds none.
+std::size_t panel_builds() noexcept;
 
 class Node;  // autograd.h
 
@@ -130,6 +167,13 @@ class Tensor {
 
   /// Overwrite contents from another tensor of identical numel (any device).
   void copy_from(const Tensor& src);
+
+  /// Seal the storage (Storage::seal): a frozen weight shared by clients.
+  void seal();
+
+  /// The storage's packed GEMM B panels for this 2-D tensor, in the
+  /// orientation of mm (false) or mm_nt (true); null unless it is sealed.
+  const float* packed_panels(bool transposed) const;
 
   std::shared_ptr<TensorImpl> impl() const { return impl_; }
 

@@ -12,8 +12,12 @@
 // ScratchPool keeps one lazily grown buffer per (thread, slot): packing
 // scratch is reused across kernel invocations with zero steady-state
 // allocation, the same role the metered device's idle list plays for
-// tensor storage.
+// tensor storage. PageBuffer holds the long-lived kernel state: a frozen
+// weight's packed GEMM panels (tensor/tensor.cc), built once and kept for
+// the weight's lifetime.
 #pragma once
+
+#include <sys/mman.h>
 
 #include <cstddef>
 #include <cstdlib>
@@ -80,6 +84,39 @@ class AlignedBuffer {
 
   float* data_ = nullptr;
   std::size_t capacity_ = 0;
+};
+
+/// Fixed-size float buffer in its own anonymous page mapping: page-aligned,
+/// zero-filled, faulted in by the mapping call (its owner writes every page
+/// next, and one populating mmap is cheaper than a fault per page), and
+/// returned to the OS when destroyed. Page-mapped rather
+/// than malloc'd because these buffers are large and live as long as a
+/// weight: freeing a large malloc block raises glibc's dynamic mmap
+/// threshold, which moves every later tensor of that size onto the heap and
+/// raises the process's peak RSS far past the buffer's own bytes.
+class PageBuffer {
+ public:
+  explicit PageBuffer(std::size_t floats) : bytes_(floats * sizeof(float)) {
+    if (bytes_ == 0) return;
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    MENOS_CHECK_MSG(p != MAP_FAILED,
+                    "PageBuffer: mapping " << bytes_ << " bytes failed");
+    data_ = static_cast<float*>(p);
+  }
+  ~PageBuffer() {
+    if (data_ != nullptr) ::munmap(data_, bytes_);
+  }
+  PageBuffer(const PageBuffer&) = delete;
+  PageBuffer& operator=(const PageBuffer&) = delete;
+
+  float* data() noexcept { return data_; }
+  const float* data() const noexcept { return data_; }
+  std::size_t bytes() const noexcept { return bytes_; }
+
+ private:
+  std::size_t bytes_;
+  float* data_ = nullptr;
 };
 
 /// Per-thread scratch slots for kernels. Distinct concurrent buffers within

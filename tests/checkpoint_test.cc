@@ -6,9 +6,12 @@
 
 #include "core/checkpoint.h"
 #include "core/client.h"
+#include "core/parameter_store.h"
 #include "core/server.h"
 #include "net/transport.h"
 #include "nn/transformer.h"
+#include "tensor/autograd.h"
+#include "tensor/ops.h"
 
 namespace menos::core {
 namespace {
@@ -126,6 +129,116 @@ TEST(Checkpoint, FileRoundTrip) {
   EXPECT_THROW(load_adapter(path, model), InvalidArgument);
 }
 
+// ----- the shared base weights' packed GEMM panels -----
+//
+// The store seals its weights, so each one's B panels are packed once per
+// orientation (forward mm, backward mm_nt) and reused by every round.
+
+/// One forward + backward round of `section`: the input requires grad, so
+/// every frozen weight runs both its forward and its dX product.
+struct SectionRound {
+  std::vector<float> out, dx;
+};
+
+SectionRound serve_round(nn::ServerSection& section, gpusim::Device& device,
+                         std::uint64_t seed) {
+  tensor::Tensor x =
+      tensor::Tensor::empty({2, 8, ckpt_model().dim}, device, true);
+  util::Rng rng(seed);
+  rng.fill_normal(x.data(), static_cast<std::size_t>(x.numel()), 0.5f);
+  tensor::Tensor y = section.forward(x);
+  tensor::backward(tensor::sum(y));
+  return {y.to_vector(), x.grad().to_vector()};
+}
+
+std::unique_ptr<nn::ServerSection> base_section(ParameterStore& store,
+                                                gpusim::Device& device) {
+  nn::SharedSource source = store.source();
+  nn::AdapterSpec none;
+  none.type = nn::AdapterType::None;
+  util::Rng rng(1);
+  return std::make_unique<nn::ServerSection>(ckpt_model(), nn::SplitSpec{},
+                                             none, source, device, rng);
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(BasePanels, CheckpointLoadDropsStalePanels) {
+  auto gpu = gpusim::make_sim_gpu("live", 64u << 20);
+  ParameterStore store(ckpt_model(), *gpu, 42);
+  auto section = base_section(store, *gpu);
+  SectionRound before;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    before = serve_round(*section, *gpu, 5);
+  }
+
+  const std::string path = ::testing::TempDir() + "/menos_base_panels.bin";
+  {
+    auto donor_gpu = gpusim::make_sim_gpu("donor", 64u << 20);
+    ParameterStore donor(ckpt_model(), *donor_gpu, 7777);
+    save_base_checkpoint(path, donor);
+  }
+  load_base_checkpoint(path, store);
+  std::remove(path.c_str());
+  const SectionRound after = serve_round(*section, *gpu, 5);
+
+  auto fresh_gpu = gpusim::make_sim_gpu("fresh", 64u << 20);
+  ParameterStore fresh(ckpt_model(), *fresh_gpu, 7777);
+  auto fresh_section = base_section(fresh, *fresh_gpu);
+  const SectionRound want = serve_round(*fresh_section, *fresh_gpu, 5);
+  EXPECT_FALSE(same_bytes(before.out, want.out));
+  EXPECT_TRUE(same_bytes(after.out, want.out));
+  EXPECT_TRUE(same_bytes(after.dx, want.dx));
+}
+
+TEST(BasePanels, SteadyStateRoundsBuildNone) {
+  auto gpu = gpusim::make_sim_gpu("steady", 64u << 20);
+  ParameterStore store(ckpt_model(), *gpu, 42);
+  auto section = base_section(store, *gpu);
+  std::size_t weights = 0;  // 2-D frozen weights the section multiplies by
+  for (const nn::Parameter& p : section->parameters()) {
+    if (p.value.ndim() == 2) ++weights;
+  }
+  ASSERT_GT(weights, 0u);
+
+  const std::size_t start = tensor::panel_builds();
+  serve_round(*section, *gpu, 1);
+  const std::size_t built = tensor::panel_builds() - start;
+  EXPECT_EQ(built, 2 * weights);  // one per (weight, orientation)
+  for (std::uint64_t round = 2; round < 8; ++round) {
+    serve_round(*section, *gpu, round);
+  }
+  EXPECT_EQ(tensor::panel_builds() - start, built);
+}
+
+TEST(BasePanels, ConstReadsOfAStoreWeightKeepItsPanels) {
+  auto gpu = gpusim::make_sim_gpu("reads", 64u << 20);
+  ParameterStore store(ckpt_model(), *gpu, 42);
+  auto section = base_section(store, *gpu);
+  serve_round(*section, *gpu, 1);
+  const std::size_t built = tensor::panel_builds();
+
+  const tensor::Tensor& weight = store.table().at("block1.attn.q.weight");
+  const float* panels = weight.packed_panels(false);
+  ASSERT_NE(panels, nullptr);
+  EXPECT_EQ(tensor::panel_builds(), built);  // already there: no rebuild
+  EXPECT_EQ(weight.to_vector().size(),
+            static_cast<std::size_t>(weight.numel()));
+  EXPECT_NE(weight.data(), nullptr);
+  EXPECT_EQ(weight.packed_panels(false), panels);
+  serve_round(*section, *gpu, 2);
+  EXPECT_EQ(tensor::panel_builds(), built);
+
+  // A write through a mutable handle drops them; the next use repacks.
+  tensor::Tensor writable = weight;
+  writable.data();
+  serve_round(*section, *gpu, 3);
+  EXPECT_GT(tensor::panel_builds(), built);
+}
+
 // ----- end-to-end through the client -----
 
 struct ClientRig {
@@ -184,6 +297,19 @@ TEST(ClientAdapter, ExportImportTransfersBehaviour) {
   EXPECT_NE(before, after);
   EXPECT_NEAR(after, trained_eval, 1e-6);
   fresh->disconnect();
+}
+
+TEST(BasePanels, ServedRoundsAfterTheFirstBuildNone) {
+  ClientRig rig;
+  auto loader = rig.make_loader(3);
+  auto client = rig.make_client(7);
+  client->train_step(loader.next());
+  client->evaluate(loader.next());
+  const std::size_t built = tensor::panel_builds();
+  for (int i = 0; i < 5; ++i) client->train_step(loader.next());
+  client->evaluate(loader.next());
+  EXPECT_EQ(tensor::panel_builds(), built);
+  client->disconnect();
 }
 
 TEST(ClientGenerate, ProducesValidTokensDeterministically) {

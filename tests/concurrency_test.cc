@@ -4,7 +4,9 @@
 // the scheduler balanced, and return every byte of GPU memory.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +17,9 @@
 #include "core/server.h"
 #include "data/dataset.h"
 #include "net/transport.h"
+#include "tensor/autograd.h"
+#include "tensor/ops.h"
+#include "util/mutex.h"
 
 namespace menos::core {
 namespace {
@@ -159,6 +164,69 @@ TEST(Concurrency, ManyClientsMatchUnloadedLossCurvesExactly) {
   rig.server.reset();
   EXPECT_EQ(rig.devices.gpu(0).allocated(), 0u);
   EXPECT_EQ(rig.client_devices.gpu(0).allocated(), 0u);
+}
+
+TEST(Concurrency, SharedWeightPanelsSurviveRacingFirstUse) {
+  // Eight sessions' first rounds race on one shared frozen weight: each
+  // thread may pack its panels, exactly one per orientation is published,
+  // and every thread's forward and dX equal the per-call-packed products.
+  // Each thread holds a lock of the server's profiling class, as a
+  // session's first (profiled) forward does, so the packing path must take
+  // no lock that ranks before it (MENOS_DEADLOCK_DETECT builds check).
+  constexpr int kThreads = 8;
+  auto host = gpusim::make_host_device("panels");
+  util::Rng rng(3);
+  tensor::Tensor weight = tensor::Tensor::empty({96, 160}, *host);
+  rng.fill_normal(weight.data(), static_cast<std::size_t>(weight.numel()),
+                  0.1f);
+  const tensor::Tensor per_call = weight.clone();  // unsealed
+  weight.seal();
+
+  struct Round {
+    tensor::Tensor x;
+    std::vector<float> out, dx;
+  };
+  const auto run = [](Round& r, const tensor::Tensor& w) {
+    r.x.zero_grad();
+    tensor::Tensor y = tensor::matmul(r.x, w);
+    tensor::backward(tensor::sum(y));
+    r.out = y.to_vector();
+    r.dx = r.x.grad().to_vector();
+  };
+  std::vector<Round> want(kThreads), got(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    tensor::Tensor x = tensor::Tensor::empty({3, 7, 96}, *host, true);
+    rng.fill_normal(x.data(), static_cast<std::size_t>(x.numel()), 1.0f);
+    want[static_cast<std::size_t>(i)].x = x;
+    got[static_cast<std::size_t>(i)].x = x;
+    run(want[static_cast<std::size_t>(i)], per_call);
+  }
+
+  const std::size_t before = tensor::panel_builds();
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      util::Mutex profiling("core.server.profiling", 14);
+      util::MutexLock hold(profiling);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      run(got[static_cast<std::size_t>(i)], weight);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(tensor::panel_builds() - before, 2u);
+  const auto same = [](const std::vector<float>& a,
+                       const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  for (int i = 0; i < kThreads; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_TRUE(same(got[u].out, want[u].out)) << "thread " << i;
+    EXPECT_TRUE(same(got[u].dx, want[u].dx)) << "thread " << i;
+  }
 }
 
 TEST(Concurrency, ExecutorWidthResolution) {

@@ -334,6 +334,53 @@ TEST(KernelBitIdentity, InPlaceAAndTransposedBEdgesMatchReference) {
   }
 }
 
+/// A B packed once (pack_b_panels: whole-K NR strips) and read in place by
+/// mm_packed, as a frozen shared weight's panels are. The panels are packed
+/// before the blocking sweep, so one layout must serve every MC/NC/KC: K >
+/// KC reads KC-deep slices inside one strip, and NC = 40 or 16 is not a
+/// multiple of NR. Both orientations must match the serial references and
+/// the per-call-packed kernels byte for byte, from a non-zero C.
+TEST(KernelBitIdentity, PrepackedBMatchesReferenceAndPerCallPacking) {
+  KernelGuard guard;
+  namespace k = tensor::kernels;
+  for (Index m : {1, 7, 128}) {
+    for (Index depth : {1, 17, 257, 512}) {
+      for (Index n : {8, 40, 128}) {
+        const Shape3 s{m, depth, n};
+        const auto a = random_vec(static_cast<std::size_t>(m * depth), 137);
+        const auto b = random_vec(static_cast<std::size_t>(depth * n), 139);
+        const auto c0 = random_vec(static_cast<std::size_t>(m * n), 149);
+        // b read as mm's B [k, n], and as mm_nt's B^T with b stored [n, k].
+        std::vector<float> ref_mm = c0, ref_nt = c0;
+        k::mm_ref(a.data(), b.data(), ref_mm.data(), m, depth, n);
+        k::mm_nt_ref(a.data(), b.data(), ref_nt.data(), m, depth, n);
+        std::vector<float> panels(k::packed_b_floats(depth, n), -1.0f);
+        std::vector<float> panels_t(k::packed_b_floats(depth, n), -1.0f);
+        k::pack_b_panels(b.data(), false, depth, n, panels.data());
+        k::pack_b_panels(b.data(), true, depth, n, panels_t.data());
+        for (const BlockConfig& cfg : kStagingConfigs) {
+          k::set_block_config(cfg);
+          for (int width : {1, 2, 4, 8}) {
+            ThreadPool::instance().set_num_threads(width);
+            std::vector<float> packed = c0, per_call = c0;
+            k::mm_packed(a.data(), panels.data(), packed.data(), m, depth, n);
+            k::mm(a.data(), b.data(), per_call.data(), m, depth, n);
+            expect_same(packed, ref_mm, "prepacked mm", s);
+            expect_same(packed, per_call, "prepacked mm vs mm", s);
+            packed = c0;
+            per_call = c0;
+            k::mm_packed(a.data(), panels_t.data(), packed.data(), m, depth,
+                         n);
+            k::mm_nt(a.data(), b.data(), per_call.data(), m, depth, n);
+            expect_same(packed, ref_nt, "prepacked mm_nt", s);
+            expect_same(packed, per_call, "prepacked mm_nt vs mm_nt", s);
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Attention reads each head's Q (and dctx) in place as a column slice of
 /// the [B, T, H*D] projection (lda = H*D > K = D), P as a transposed A in
 /// the dK/dV products, and K and V through the transposed B pack. (B, T, H,

@@ -192,6 +192,7 @@ SIDE_EFFECT_RE = re.compile(
 KERNEL_SCRATCH_RE = re.compile(
     r"std::vector\s*<\s*float\s*>|std::aligned_alloc\s*\("
     r"|std::make_unique\s*<\s*float\s*\[\]|alloca\s*\("
+    r"|\bmmap\s*\("
 )
 
 
@@ -310,13 +311,16 @@ def check_mutex_annotation(path: Path, raw: str) -> list:
 def check_kernel_scratch(path: Path, raw: str) -> list:
     # The matmul kernels pack panels on every call; ad-hoc heap scratch
     # there is unaligned (vector loads degrade) and reallocates per call.
-    # util/aligned.h::scratch_floats is the sanctioned per-thread buffer.
+    # util/aligned.h::scratch_floats is the sanctioned per-thread buffer,
+    # and util::PageBuffer the one home of page-mapped panel memory (a
+    # frozen weight's panels packed once), so no mmap here either.
     return check_pattern_rule(
         path, raw, "kernel-scratch", KERNEL_SCRATCH_RE,
         exempt=lambda p: p.parts[-2:] not in (("tensor", "kernels.cc"),
                                               ("tensor", "kernels.h")),
         message="ad-hoc scratch in the matmul kernels — pack panels into "
-                "util::scratch_floats (util/aligned.h) so scratch is "
+                "util::scratch_floats, or a util::PageBuffer for panels "
+                "kept across calls (util/aligned.h), so scratch is "
                 "vector-aligned and reused across calls")
 
 
@@ -558,6 +562,14 @@ SELF_TEST_CASES = [
      "// NOLINTNEXTLINE(nondeterminism)\nint r = std::rand();\n", None),
     ("src/tensor/kernels.cc",
      "void pack() { std::vector<float> tmp(64); }\n", "kernel-scratch"),
+    ("src/tensor/kernels.cc",
+     "float* panels(std::size_t n) {\n"
+     "  return static_cast<float*>(::mmap(nullptr, n, 3, 0x22, -1, 0));\n"
+     "}\n", "kernel-scratch"),  # panel memory only via util::PageBuffer
+    ("src/util/aligned.h",
+     "#pragma once\n"
+     "void* p = ::mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);\n",
+     None),  # the sanctioned home of page-mapped panels
     ("src/tensor/kernels.h",
      "#pragma once\nvoid pack() { float* t = util::scratch_floats(0, 64); }\n",
      None),  # the sanctioned scratch API
