@@ -52,19 +52,20 @@ inline constexpr int kProbeThreads = 4;
 
 /// One host-contention probe reading.
 struct ProbeReading {
-  double ratio = 0.0;     ///< `threads`-thread spin time / 1-thread time
+  double ratio = 0.0;     ///< kProbeThreads-thread spin time / 1-thread time
   double alone_ms = 0.0;  ///< the 1-thread spin time
 };
 
-/// Host-contention probe: the wall time of `threads` threads each running
-/// the same fixed integer spin, over the time one thread takes for it
-/// alone (median of three of each). The ratio reads ~1.0 when the host has
-/// `threads` idle cores; other tenants, or fewer cores, push it up (4.0 on
-/// one core). A host slow on every core alike keeps the ratio near 1.0 but
-/// raises `alone_ms` (~11 ms on an idle 2 GHz AVX-512 VM). Timings from one
-/// host can move several-fold with its load, so benches take it before and
-/// after measuring and record both.
-inline ProbeReading contention_probe(int threads = kProbeThreads) {
+/// Host-contention probe: the wall time of kProbeThreads threads each
+/// running the same fixed integer spin, over the time one thread takes for
+/// it alone (median of three of each). The ratio reads ~1.0 when the host
+/// has kProbeThreads idle cores; other tenants, or fewer cores, push it up
+/// (4.0 on one core). A host slow on every core alike keeps the ratio near
+/// 1.0 but raises `alone_ms` (~11 ms on an idle 2 GHz AVX-512 VM). The
+/// spin is one dependent multiply chain, so it sees the clock but not the
+/// vector units: a host whose FMA throughput alone drops (docs/PERF.md)
+/// reads idle. Benches take it before and after measuring and record both.
+inline ProbeReading contention_probe() {
   const auto spin = [](volatile std::uint64_t* sink) {
     std::uint64_t x = 0x9E3779B97F4A7C15ull;
     for (int i = 0; i < (1 << 23); ++i) {
@@ -90,7 +91,7 @@ inline ProbeReading contention_probe(int threads = kProbeThreads) {
     return times[1];
   };
   const double alone = median_seconds(1);
-  return {median_seconds(threads) / alone, 1e3 * alone};
+  return {median_seconds(kProbeThreads) / alone, 1e3 * alone};
 }
 
 /// Probe readings taken around a bench's measurements.

@@ -161,39 +161,6 @@ std::unique_ptr<nn::ServerSection> base_section(ParameterStore& store,
                                              none, source, device, rng);
 }
 
-bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-TEST(BasePanels, CheckpointLoadDropsStalePanels) {
-  auto gpu = gpusim::make_sim_gpu("live", 64u << 20);
-  ParameterStore store(ckpt_model(), *gpu, 42);
-  auto section = base_section(store, *gpu);
-  SectionRound before;
-  for (std::uint64_t round = 0; round < 3; ++round) {
-    before = serve_round(*section, *gpu, 5);
-  }
-
-  const std::string path = ::testing::TempDir() + "/menos_base_panels.bin";
-  {
-    auto donor_gpu = gpusim::make_sim_gpu("donor", 64u << 20);
-    ParameterStore donor(ckpt_model(), *donor_gpu, 7777);
-    save_base_checkpoint(path, donor);
-  }
-  load_base_checkpoint(path, store);
-  std::remove(path.c_str());
-  const SectionRound after = serve_round(*section, *gpu, 5);
-
-  auto fresh_gpu = gpusim::make_sim_gpu("fresh", 64u << 20);
-  ParameterStore fresh(ckpt_model(), *fresh_gpu, 7777);
-  auto fresh_section = base_section(fresh, *fresh_gpu);
-  const SectionRound want = serve_round(*fresh_section, *fresh_gpu, 5);
-  EXPECT_FALSE(same_bytes(before.out, want.out));
-  EXPECT_TRUE(same_bytes(after.out, want.out));
-  EXPECT_TRUE(same_bytes(after.dx, want.dx));
-}
-
 TEST(BasePanels, SteadyStateRoundsBuildNone) {
   auto gpu = gpusim::make_sim_gpu("steady", 64u << 20);
   ParameterStore store(ckpt_model(), *gpu, 42);

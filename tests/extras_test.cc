@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <thread>
 
 #include "core/checkpoint.h"
@@ -276,23 +278,42 @@ TEST(BaseCheckpoint, SaveLoadRoundTrip) {
 
 TEST(BaseCheckpoint, LiveStructuresSeeLoadedValues) {
   // §3.1's whole point: structures share the store's storage, so loading a
-  // checkpoint retargets every client at once.
+  // checkpoint retargets every client at once. The store's weights keep
+  // packed GEMM panels once a round has used them; the load must drop
+  // those too, so the next round matches a fresh store's byte for byte.
   nn::TransformerConfig model = nn::TransformerConfig::tiny_opt();
   model.n_layers = 2;
-  auto gpu = gpusim::make_sim_gpu("b", 64u << 20);
-  core::ParameterStore store(model, *gpu, 42);
-  nn::SharedSource src = store.source();
   nn::AdapterSpec none;
   none.type = nn::AdapterType::None;
-  util::Rng rng(1);
-  nn::SplitSpec split;
-  nn::ServerSection section(model, split, none, src, *gpu, rng);
+  const auto make_section = [&](core::ParameterStore& store,
+                                gpusim::Device& device) {
+    nn::SharedSource src = store.source();
+    util::Rng rng(1);
+    nn::SplitSpec split;
+    return std::make_unique<nn::ServerSection>(model, split, none, src,
+                                               device, rng);
+  };
+  // One forward + backward: the input requires grad, so every frozen
+  // weight runs both its forward and its dX product (both orientations).
+  const auto round = [&](nn::ServerSection& section, gpusim::Device& device) {
+    tensor::Tensor x = tensor::Tensor::empty({1, 4, model.dim}, device, true);
+    util::Rng xrng(5);
+    xrng.fill_normal(x.data(), static_cast<std::size_t>(x.numel()), 0.5f);
+    tensor::Tensor y = section.forward(x);
+    tensor::backward(tensor::sum(y));
+    return std::make_pair(y.to_vector(), x.grad().to_vector());
+  };
+  const auto same_bytes = [](const std::vector<float>& a,
+                             const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
 
-  tensor::Tensor x = tensor::Tensor::empty({1, 4, model.dim}, *gpu);
-  util::Rng xrng(5);
-  xrng.fill_normal(x.data(), static_cast<std::size_t>(x.numel()), 0.5f);
-  tensor::NoGradGuard no_grad;
-  const auto before = section.forward(x).to_vector();
+  auto gpu = gpusim::make_sim_gpu("b", 64u << 20);
+  core::ParameterStore store(model, *gpu, 42);
+  auto section = make_section(store, *gpu);
+  const auto before = round(*section, *gpu);
+  round(*section, *gpu);
 
   const std::string path = ::testing::TempDir() + "/menos_base2.bin";
   {
@@ -301,9 +322,16 @@ TEST(BaseCheckpoint, LiveStructuresSeeLoadedValues) {
     core::save_base_checkpoint(path, donor);
   }
   core::load_base_checkpoint(path, store);
-  const auto after = section.forward(x).to_vector();
-  EXPECT_NE(before, after);  // the live structure now runs the new base
   std::remove(path.c_str());
+  const auto after = round(*section, *gpu);
+  EXPECT_NE(before.first, after.first);  // the live structure runs the new base
+
+  auto gpu3 = gpusim::make_sim_gpu("b3", 64u << 20);
+  core::ParameterStore fresh(model, *gpu3, 7777);
+  auto fresh_section = make_section(fresh, *gpu3);
+  const auto want = round(*fresh_section, *gpu3);
+  EXPECT_TRUE(same_bytes(after.first, want.first));
+  EXPECT_TRUE(same_bytes(after.second, want.second));
 }
 
 // ----- dropout -----
